@@ -1,5 +1,6 @@
 #include "match/cfl_match.h"
 
+#include <stdexcept>
 #include <unordered_map>
 
 #include "check/check.h"
@@ -7,6 +8,7 @@
 #include "cpi/root_select.h"
 #include "decomp/cfl_decomposition.h"
 #include "decomp/two_core.h"
+#include "match/count_roots.h"
 #include "match/enumerator.h"
 #include "match/leaf_match.h"
 #include "obs/clock.h"
@@ -24,13 +26,21 @@ CflMatcher::CflMatcher(const Graph& data)
   }
 }
 
-double CflMatcher::EstimateEmbeddings(const Graph& q) {
-  std::vector<VertexId> core = TwoCoreVertices(q);
-  std::vector<VertexId> choices = core;
-  if (choices.empty()) {
-    for (VertexId u = 0; u < q.NumVertices(); ++u) choices.push_back(u);
+VertexId CflMatcher::ChooseRoot(const Graph& q) const {
+  if (q.NumVertices() == 0) {
+    throw std::invalid_argument("query graph has no vertices");
   }
-  VertexId root = SelectRoot(q, data_, label_degree_index_, choices);
+  std::vector<VertexId> choices = TwoCoreVertices(q);
+  if (choices.empty()) {
+    // Tree query: the core degenerates to the root, chosen among all.
+    choices.resize(q.NumVertices());
+    for (VertexId v = 0; v < q.NumVertices(); ++v) choices[v] = v;
+  }
+  return SelectRoot(q, data_, label_degree_index_, choices);
+}
+
+double CflMatcher::EstimateEmbeddings(const Graph& q) {
+  VertexId root = ChooseRoot(q);
   BfsTree tree = BuildBfsTree(q, root);
   Cpi cpi = cpi_builder_.Build(q, tree, CpiStrategy::kRefined);
   if (cpi.HasEmptyCandidateSet()) return 0.0;
@@ -48,16 +58,7 @@ PreparedQuery CflMatcher::Prepare(const Graph& q, const MatchOptions& options) {
   CFL_STATS_ONLY(WallTimer stats_timer; prepared.stats.recorded = true;)
 
   // --- Decomposition, root selection, BFS tree --------------------------
-  std::vector<VertexId> core = TwoCoreVertices(q);
-  const std::vector<VertexId>* root_choices = &core;
-  std::vector<VertexId> all_vertices;
-  if (core.empty()) {
-    // Tree query: the core degenerates to the root, chosen among all.
-    all_vertices.resize(q.NumVertices());
-    for (VertexId v = 0; v < q.NumVertices(); ++v) all_vertices[v] = v;
-    root_choices = &all_vertices;
-  }
-  VertexId root = SelectRoot(q, data_, label_degree_index_, *root_choices);
+  VertexId root = ChooseRoot(q);
   prepared.decomposition = DecomposeCfl(q, root);
   prepared.tree = BuildBfsTree(q, root);
   CFL_STATS_ONLY(prepared.stats.decompose_seconds = stats_timer.Lap();)
@@ -122,72 +123,43 @@ MatchResult CflMatcher::Match(const Graph& q, const MatchOptions& options) {
     return result;
   }
 
-  // --- Enumeration -------------------------------------------------------
+  if (!options.on_embedding) {
+    // Counting mode: one inline shard of the root-claiming count loop; leaf
+    // completions are counted as Cartesian products, never materialized.
+    CountRun run(data_, prepared, options.limits, 1);
+    run.CountRoots(0);
+    run.Finish(result);
+    result.total_seconds = total_timer.Lap();
+    return result;
+  }
+
+  // Enumeration mode: the core/forest pass pauses at each embedding and
+  // the leaf pass expands its leaf assignments over the same bindings.
   WallTimer phase_timer;
   Deadline deadline(options.limits.time_limit_seconds);
   EnumeratorState state(q.NumVertices(), data_.NumVertices());
-  LeafMatcher leaf_matcher(q, cpi, order.leaves);
+  const LeafMatcher leaf_matcher(data_, cpi, order.leaves);
+  Enumerator core(data_, cpi, order.steps, state, deadline);
+  Enumerator leaves(data_, cpi, leaf_matcher.steps(), state, deadline);
   const uint64_t cap = options.limits.max_embeddings;
-  const bool compressed = data_.HasMultiplicities();
+  const bool validate_embeddings = check::DebugValidationEnabled();
 
-  EnumerateStatus status;
-  if (!options.on_embedding) {
-    // Counting mode: leaf completions are counted as Cartesian products of
-    // label-class counts — never materialized.
-    status = EnumeratePartial(
-        data_, cpi, order.steps, state, deadline, [&]() {
-          uint64_t count = 1;
-          if (compressed) {
-            // Unmatched leaf entries are kInvalidVertex and skipped; the
-            // leaf count below already accounts for leaf expansions.
-            count = ExpansionFactor(data_, state.mapping);
-          }
-          if (leaf_matcher.HasLeaves()) {
-            // Leaf time is sampled (1 in kLeafSampleStride calls), not
-            // measured per call: CountEmbeddings is the hottest call site
-            // and two clock reads per visit would dominate it.
-            CFL_STATS_ONLY(++state.stats.leaf_calls;
-                           obs::TimePoint leaf_t0;
-                           const bool sample = state.stats.ShouldSampleLeaf();
-                           if (sample) leaf_t0 = obs::Now();)
-            const uint64_t leaf_count =
-                leaf_matcher.CountEmbeddings(data_, state);
-            CFL_STATS_ONLY(if (sample) {
-              ++state.stats.leaf_sampled_calls;
-              state.stats.leaf_sampled_seconds += obs::SecondsSince(leaf_t0);
-            } state.stats.leaf_products =
-                  SaturatingAdd(state.stats.leaf_products, leaf_count);)
-            count = SaturatingMul(count, leaf_count);
-          }
-          result.embeddings = SaturatingAdd(result.embeddings, count);
-          return result.embeddings < cap;
-        });
-  } else {
-    // Enumeration mode: expand leaf assignments and invoke the callback.
-    const bool validate_embeddings = check::DebugValidationEnabled();
-    status = EnumeratePartial(
-        data_, cpi, order.steps, state, deadline, [&]() {
-          CFL_STATS_ONLY(
-              if (leaf_matcher.HasLeaves()) ++state.stats.leaf_calls;)
-          EnumerateStatus leaf_status = leaf_matcher.EnumerateEmbeddings(
-              data_, state, deadline, [&]() {
-                ++result.embeddings;
-                if (validate_embeddings) {
-                  ValidationResult r =
-                      ValidateEmbedding(q, data_, state.mapping);
-                  CFL_CHECK(r.ok) << " — emitted embedding invalid: "
-                                  << r.error;
-                }
-                bool keep = options.on_embedding(state.mapping);
-                return keep && result.embeddings < cap;
-              });
-          if (leaf_status == EnumerateStatus::kTimedOut) {
-            result.timed_out = true;
-          }
-          return leaf_status == EnumerateStatus::kDone;
-        });
-  }
-
+  core.Arm();
+  EnumerateStatus status = core.Run([&]() {
+    CFL_STATS_ONLY(if (leaf_matcher.HasLeaves()) ++core.stats.leaf_calls;)
+    leaves.Arm();
+    EnumerateStatus leaf_status = leaves.Run([&]() {
+      ++result.embeddings;
+      if (validate_embeddings) {
+        ValidationResult r = ValidateEmbedding(q, data_, state.mapping);
+        CFL_CHECK(r.ok) << " — emitted embedding invalid: " << r.error;
+      }
+      bool keep = options.on_embedding(state.mapping);
+      return keep && result.embeddings < cap;
+    });
+    if (leaf_status == EnumerateStatus::kTimedOut) result.timed_out = true;
+    return leaf_status == EnumerateStatus::kDone;
+  });
   if (status == EnumerateStatus::kTimedOut) result.timed_out = true;
   // The two stop flags are independent: reached_limit reports the cap was
   // hit, timed_out reports the deadline expired, and a run that does both in
@@ -195,21 +167,21 @@ MatchResult CflMatcher::Match(const Graph& q, const MatchOptions& options) {
   // baselines) classifies identically, which cfl_difftest asserts.
   result.reached_limit = result.embeddings >= cap;
 
-  result.candidates_tried = state.candidates_tried;
-  result.candidates_bound = state.candidates_bound;
+  result.candidates_tried = core.candidates_tried;
+  result.candidates_bound = core.candidates_bound;
   result.enumerate_seconds = phase_timer.Lap();
   CFL_STATS_ONLY({
     MatchStats& s = result.stats;
     s.enumerate_seconds = result.enumerate_seconds;
-    s.enumeration.Merge(state.stats);
+    s.enumeration.Merge(core.stats);
     s.candidates_tried = result.candidates_tried;
     s.candidates_bound = result.candidates_bound;
     s.embeddings_found = result.embeddings;
     s.threads = 1;
     s.root_candidates = cpi.NumCandidates(order.steps.front().u);
-    // Serial run: the one "worker" claims every root it exhausted. Report
-    // the full count only for complete runs; a stop/timeout leaves it
-    // unknown, and claiming fewer than root_candidates is always sound.
+    // The one pass claims every root it exhausted. Report the full count
+    // only for complete runs; a stop/timeout leaves it unknown, and
+    // claiming fewer than root_candidates is always sound.
     s.worker_roots_claimed.assign(
         1, status == EnumerateStatus::kDone ? s.root_candidates : 0);
   })

@@ -97,7 +97,9 @@ class CflMatcher {
   // CPI construction, matching order). `Match` is exactly Prepare followed
   // by enumeration; the parallel matcher calls Prepare once and enumerates
   // the shared result from several workers. Not thread-safe: the CPI
-  // builder's scratch is reused across calls.
+  // builder's scratch is reused across calls. Throws std::invalid_argument
+  // for a query it cannot match: one with no vertices, or a disconnected
+  // one (BuildBfsTree).
   PreparedQuery Prepare(const Graph& q, const MatchOptions& options = {});
 
   // Cheap cardinality estimate: the number of embeddings of q's BFS *tree*
@@ -109,6 +111,10 @@ class CflMatcher {
   double EstimateEmbeddings(const Graph& q);
 
  private:
+  // Root selection (A.6) among q's 2-core, or among all vertices for a
+  // tree query. Throws std::invalid_argument for a query with no vertices.
+  VertexId ChooseRoot(const Graph& q) const;
+
   const Graph& data_;
   LabelDegreeIndex label_degree_index_;
   CpiBuilder cpi_builder_;

@@ -3,220 +3,10 @@
 #include "check/check.h"
 #include "check/narrow.h"
 #include "match/cfl_match.h"
+#include "match/enumerator.h"
+#include "match/leaf_match.h"
 
 namespace cfl {
-
-// ---- StepEnumerator -------------------------------------------------------
-
-StepEnumerator::StepEnumerator(const Graph& data, const Cpi& cpi,
-                               const std::vector<MatchStep>& steps,
-                               EnumeratorState* state, Deadline* deadline)
-    : data_(data),
-      cpi_(cpi),
-      steps_(steps),
-      state_(state),
-      deadline_(deadline),
-      cursor_(steps.size(), 0),
-      plans_(steps.size()) {}
-
-void StepEnumerator::RebuildPlan(size_t depth) {
-  kernels::BackwardPlan& plan = plans_[depth];
-  plan.Reset();
-  for (VertexId w : steps_[depth].backward) {
-    plan.Add(data_, state_->mapping[w]);
-  }
-}
-
-void StepEnumerator::Abort() {
-  for (size_t d = 0; d < bound_; ++d) {
-    VertexId u = steps_[d].u;
-    --state_->used[state_->mapping[u]];
-    state_->mapping[u] = kInvalidVertex;
-  }
-  bound_ = 0;
-  exhausted_ = true;
-}
-
-bool StepEnumerator::Next() {
-  if (exhausted_) return false;
-  const size_t n = steps_.size();
-  if (n == 0) {  // vacuous step list: one empty binding
-    exhausted_ = true;
-    return true;
-  }
-
-  size_t depth;
-  if (bound_ == n) {
-    // Resume: release the deepest binding and search onward from its cursor.
-    depth = n - 1;
-    VertexId u = steps_[depth].u;
-    --state_->used[state_->mapping[u]];
-    state_->mapping[u] = kInvalidVertex;
-    bound_ = depth;
-  } else {
-    CFL_DCHECK_EQ(bound_, 0u)
-        << " StepEnumerator::Next resumed with a partial binding";
-    depth = 0;
-    cursor_[0] = 0;
-    RebuildPlan(0);
-  }
-
-  while (true) {
-    // Same cooperative-deadline granularity as EnumeratePartial: one coarse
-    // check per depth visit, so a resumed search cannot outlive its budget
-    // no matter how barren the subtree is.
-    if (deadline_ != nullptr && deadline_->ExpiredCoarse()) {
-      bound_ = depth;
-      timed_out_ = true;
-      Abort();
-      return false;
-    }
-
-    const MatchStep& step = steps_[depth];
-    const bool is_root = (depth == 0 && step.parent == kInvalidVertex);
-    std::span<const uint32_t> adjacent;
-    uint32_t limit;
-    if (is_root) {
-      limit = CheckedCandidateCount(cpi_.Candidates(step.u).size());
-    } else {
-      adjacent = cpi_.AdjacentPositions(step.u, state_->position[step.parent]);
-      limit = CheckedCandidateCount(adjacent.size());
-    }
-
-    bool bound_here = false;
-    while (cursor_[depth] < limit) {
-      uint32_t pos = is_root ? cursor_[depth] : adjacent[cursor_[depth]];
-      ++cursor_[depth];
-      VertexId v = cpi_.CandidateAt(step.u, pos);
-      if (state_->used[v] >= data_.multiplicity(v)) continue;
-      // Backward non-tree edges, batched against the per-descent plan
-      // exactly as EnumeratePartial does.
-      if (kernels::VerifyBackwardEdges(data_, plans_[depth], v) !=
-          plans_[depth].edges.size()) {
-        continue;
-      }
-      state_->mapping[step.u] = v;
-      state_->position[step.u] = pos;
-      ++state_->used[v];
-      bound_here = true;
-      break;
-    }
-
-    if (bound_here) {
-      bound_ = depth + 1;
-      if (bound_ == n) return true;
-      ++depth;
-      cursor_[depth] = 0;
-      RebuildPlan(depth);
-      continue;
-    }
-    if (depth == 0) {
-      bound_ = 0;
-      exhausted_ = true;
-      return false;
-    }
-    --depth;
-    VertexId u = steps_[depth].u;
-    --state_->used[state_->mapping[u]];
-    state_->mapping[u] = kInvalidVertex;
-    bound_ = depth;
-  }
-}
-
-// ---- LeafEnumerator -------------------------------------------------------
-
-LeafEnumerator::LeafEnumerator(const Graph& data, const Cpi& cpi,
-                               const std::vector<VertexId>& leaves,
-                               EnumeratorState* state, Deadline* deadline)
-    : data_(data),
-      cpi_(cpi),
-      leaves_(leaves),
-      state_(state),
-      deadline_(deadline),
-      cursor_(leaves.size(), 0),
-      exhausted_(true) {}
-
-void LeafEnumerator::Abort() {
-  for (size_t d = 0; d < bound_; ++d) {
-    VertexId u = leaves_[d];
-    --state_->used[state_->mapping[u]];
-    state_->mapping[u] = kInvalidVertex;
-  }
-  bound_ = 0;
-  exhausted_ = true;
-}
-
-void LeafEnumerator::Reset() {
-  Abort();
-  exhausted_ = false;
-}
-
-bool LeafEnumerator::Next() {
-  if (exhausted_) return false;
-  const size_t n = leaves_.size();
-  if (n == 0) {  // no leaves: one vacuous completion per Reset
-    exhausted_ = true;
-    return true;
-  }
-
-  size_t depth;
-  if (bound_ == n) {
-    depth = n - 1;
-    VertexId u = leaves_[depth];
-    --state_->used[state_->mapping[u]];
-    state_->mapping[u] = kInvalidVertex;
-    bound_ = depth;
-  } else {
-    CFL_DCHECK_EQ(bound_, 0u)
-        << " LeafEnumerator::Next resumed with a partial binding";
-    depth = 0;
-    cursor_[0] = 0;
-  }
-
-  while (true) {
-    if (deadline_ != nullptr && deadline_->ExpiredCoarse()) {
-      bound_ = depth;
-      timed_out_ = true;
-      Abort();
-      return false;
-    }
-
-    VertexId u = leaves_[depth];
-    VertexId parent = cpi_.tree().parent[u];
-    std::span<const uint32_t> adjacent =
-        cpi_.AdjacentPositions(u, state_->position[parent]);
-
-    bool bound_here = false;
-    while (cursor_[depth] < adjacent.size()) {
-      uint32_t pos = adjacent[cursor_[depth]++];
-      VertexId v = cpi_.CandidateAt(u, pos);
-      if (state_->used[v] >= data_.multiplicity(v)) continue;
-      state_->mapping[u] = v;
-      ++state_->used[v];
-      bound_here = true;
-      break;
-    }
-    if (bound_here) {
-      bound_ = depth + 1;
-      if (bound_ == n) return true;
-      ++depth;
-      cursor_[depth] = 0;
-      continue;
-    }
-    if (depth == 0) {
-      bound_ = 0;
-      exhausted_ = true;
-      return false;
-    }
-    --depth;
-    VertexId w = leaves_[depth];
-    --state_->used[state_->mapping[w]];
-    state_->mapping[w] = kInvalidVertex;
-    bound_ = depth;
-  }
-}
-
-// ---- EmbeddingIterator ------------------------------------------------------
 
 struct EmbeddingIterator::Pipeline {
   // Shared ownership keeps cached plans alive while a stream runs; for the
@@ -224,10 +14,12 @@ struct EmbeddingIterator::Pipeline {
   std::shared_ptr<const PreparedQuery> prepared;
   Deadline deadline;
   EnumeratorState state;
-  StepEnumerator steps;
-  LeafEnumerator leaves;
-  bool inner_active = false;
-  bool dead = false;  // empty candidate set: no embeddings at all
+  LeafMatcher leaf_matcher;
+  Enumerator core;    // core + forest steps, paused at each embedding
+  Enumerator leaves;  // leaf steps under the core's paused bindings
+  bool in_leaves = false;  // core paused, leaf pass armed
+  bool dead = false;       // empty candidate set: no embeddings at all
+  bool timed_out = false;
 
   Pipeline(const Graph& data, std::shared_ptr<const PreparedQuery> plan,
            const MatchLimits& limits)
@@ -235,10 +27,12 @@ struct EmbeddingIterator::Pipeline {
         deadline(limits.time_limit_seconds),
         state(CheckedU32(prepared->cpi.tree().parent.size()),
               data.NumVertices()),
-        steps(data, prepared->cpi, prepared->order.steps, &state, &deadline),
-        leaves(data, prepared->cpi, prepared->order.leaves, &state,
-               &deadline),
-        dead(prepared->no_results) {}
+        leaf_matcher(data, prepared->cpi, prepared->order.leaves),
+        core(data, prepared->cpi, prepared->order.steps, state, deadline),
+        leaves(data, prepared->cpi, leaf_matcher.steps(), state, deadline),
+        dead(prepared->no_results) {
+    core.Arm();
+  }
 };
 
 EmbeddingIterator::~EmbeddingIterator() = default;
@@ -269,30 +63,36 @@ bool EmbeddingIterator::Next(Embedding* out) {
     exhausted_ = true;
     return false;
   }
+  auto pause = []() { return false; };
   while (true) {
-    if (!p_->inner_active) {
-      if (!p_->steps.Next()) {
+    if (!p_->in_leaves) {
+      EnumerateStatus status = p_->core.Run(pause);
+      if (status != EnumerateStatus::kStopped) {
+        p_->timed_out = status == EnumerateStatus::kTimedOut;
         exhausted_ = true;
         return false;
       }
-      p_->leaves.Reset();
-      p_->inner_active = true;
+      p_->leaves.Arm();
+      p_->in_leaves = true;
     }
-    if (p_->leaves.Next()) {
+    EnumerateStatus status = p_->leaves.Run(pause);
+    if (status == EnumerateStatus::kStopped) {
       *out = p_->state.mapping;
       ++produced_;
       return true;
     }
-    if (p_->leaves.timed_out()) {
+    if (status == EnumerateStatus::kTimedOut) {
+      p_->core.Abort();
+      p_->timed_out = true;
       exhausted_ = true;
       return false;
     }
-    p_->inner_active = false;
+    p_->in_leaves = false;  // leaf pass exhausted: resume the core
   }
 }
 
 bool EmbeddingIterator::timed_out() const {
-  return p_ != nullptr && (p_->steps.timed_out() || p_->leaves.timed_out());
+  return p_ != nullptr && p_->timed_out;
 }
 
 }  // namespace cfl

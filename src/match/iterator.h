@@ -6,8 +6,10 @@
 // `EmbeddingIterator` exposes exactly that protocol as a public API: the
 // whole CFL pipeline (decomposition, CPI, ordering) runs once up front,
 // after which each Next() resumes the backtracking search just far enough
-// to produce one more embedding. Nothing is ever materialized beyond the
-// O(|V(q)|) search state.
+// to produce one more embedding: the core/forest pass and the leaf pass are
+// both the one resumable Enumerator (match/enumerator.h), paused at every
+// embedding. Nothing is ever materialized beyond the O(|V(q)|) search
+// state.
 //
 //   cfl::EmbeddingIterator it(data, query, limits);
 //   cfl::Embedding m;
@@ -32,89 +34,12 @@
 #include <memory>
 #include <vector>
 
-#include "cpi/cpi.h"
 #include "graph/graph.h"
-#include "kernels/kernels.h"
 #include "match/embedding.h"
-#include "match/enumerator.h"
-#include "order/matching_order.h"
 
 namespace cfl {
 
 struct PreparedQuery;
-
-// Resumable backtracking over a step sequence (core + forest): each
-// Next() leaves the steps' bindings in `state` and returns true, or returns
-// false (with clean state) when the space is exhausted or the deadline
-// expired (distinguished by timed_out()).
-class StepEnumerator {
- public:
-  // All referees must outlive the enumerator. `state` is shared with any
-  // nested enumerators (the leaf stage); `deadline` is shared with them too
-  // so the coarse-tick amortization covers the whole pipeline.
-  StepEnumerator(const Graph& data, const Cpi& cpi,
-                 const std::vector<MatchStep>& steps, EnumeratorState* state,
-                 Deadline* deadline = nullptr);
-
-  bool Next();
-
-  // Releases any held bindings (called automatically on exhaustion).
-  void Abort();
-
-  // True once Next() returned false because the deadline expired rather
-  // than because the space was exhausted.
-  bool timed_out() const { return timed_out_; }
-
- private:
-  // Re-resolves the backward-edge plan of `depth` against the current
-  // mapping; called on every descent (and stays valid across Next()
-  // resumes — the shallower bindings a plan depends on are only ever
-  // changed by descending through this depth again).
-  void RebuildPlan(size_t depth);
-
-  const Graph& data_;
-  const Cpi& cpi_;
-  const std::vector<MatchStep>& steps_;
-  EnumeratorState* state_;
-  Deadline* deadline_;
-  std::vector<uint32_t> cursor_;
-  // Per-depth backward-edge plans (kernels/kernels.h), same rebuild-on-
-  // descent discipline as EnumeratePartial.
-  std::vector<kernels::BackwardPlan> plans_;
-  // Number of currently-bound steps; search resumes from here.
-  size_t bound_ = 0;
-  bool exhausted_ = false;
-  bool timed_out_ = false;
-};
-
-// Resumable backtracking over the leaf vertices, candidates drawn from the
-// CPI adjacency under each leaf's (already bound) parent.
-class LeafEnumerator {
- public:
-  LeafEnumerator(const Graph& data, const Cpi& cpi,
-                 const std::vector<VertexId>& leaves, EnumeratorState* state,
-                 Deadline* deadline = nullptr);
-
-  // Re-arms the enumerator for the current core/forest binding.
-  void Reset();
-
-  bool Next();
-
-  void Abort();
-
-  bool timed_out() const { return timed_out_; }
-
- private:
-  const Graph& data_;
-  const Cpi& cpi_;
-  const std::vector<VertexId>& leaves_;
-  EnumeratorState* state_;
-  Deadline* deadline_;
-  std::vector<uint32_t> cursor_;
-  size_t bound_ = 0;
-  bool exhausted_ = false;
-  bool timed_out_ = false;
-};
 
 // The full pipeline as a single-pass iterator.
 class EmbeddingIterator {
@@ -153,7 +78,7 @@ class EmbeddingIterator {
   bool reached_limit() const { return produced_ >= cap_; }
 
  private:
-  struct Pipeline;  // owns/shares plan + state + enumerators
+  struct Pipeline;  // owns/shares plan + bindings + the two passes
   std::unique_ptr<Pipeline> p_;
   uint64_t produced_ = 0;
   uint64_t cap_ = kNoLimit;

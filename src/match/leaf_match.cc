@@ -1,8 +1,11 @@
 #include "match/leaf_match.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <unordered_map>
+
+#include "check/check.h"
 
 namespace cfl {
 
@@ -33,14 +36,17 @@ uint64_t FallingFactorial(uint64_t n, uint64_t k) {
 
 }  // namespace
 
-LeafMatcher::LeafMatcher(const Graph& q, const Cpi& cpi,
-                         std::vector<VertexId> leaves)
-    : cpi_(&cpi), leaves_(std::move(leaves)) {
+LeafMatcher::LeafMatcher(const Graph& data, const Cpi& cpi,
+                         const std::vector<VertexId>& leaves)
+    : cpi_(&cpi) {
   // Label classes (Lemma 4.3) containing NEC groups: leaves with the same
   // label and the same parent have identical candidate sets.
   std::map<Label, std::map<VertexId, std::vector<VertexId>>> by_label_parent;
-  for (VertexId u : leaves_) {
-    by_label_parent[q.label(u)][cpi.tree().parent[u]].push_back(u);
+  for (VertexId u : leaves) {
+    CFL_CHECK(cpi.NumCandidates(u) != 0)
+        << " leaf " << u << " has no candidates";
+    const Label label = data.label(cpi.CandidateAt(u, 0));
+    by_label_parent[label][cpi.tree().parent[u]].push_back(u);
   }
   for (auto& [label, by_parent] : by_label_parent) {
     LabelClass cls;
@@ -55,8 +61,7 @@ LeafMatcher::LeafMatcher(const Graph& q, const Cpi& cpi,
   }
   for (const LabelClass& cls : classes_) {
     for (const NecGroup& g : cls.groups) {
-      flat_leaves_.insert(flat_leaves_.end(), g.members.begin(),
-                          g.members.end());
+      for (VertexId u : g.members) steps_.push_back({u, g.parent, {}});
     }
   }
 }

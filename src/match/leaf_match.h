@@ -16,14 +16,14 @@
 //
 // Two modes:
 //   * CountEmbeddings: exact number of leaf completions (saturating).
-//   * EnumerateEmbeddings: backtracks over individual leaves and invokes a
-//     visitor per full leaf assignment (plain-graph enumeration API).
+//   * steps(): the leaves as enumeration steps (parent set, no backward
+//     edges), for expanding individual leaf assignments on the one
+//     backtracking core (match/enumerator.h).
 
 #ifndef CFL_MATCH_LEAF_MATCH_H_
 #define CFL_MATCH_LEAF_MATCH_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cpi/cpi.h"
@@ -37,23 +37,24 @@ class LeafMatcher {
  public:
   // `leaves` = V_I of the query. Grouping (label classes, NEC groups) is
   // precomputed once per query; per-embedding calls only read the CPI.
-  LeafMatcher(const Graph& q, const Cpi& cpi, std::vector<VertexId> leaves);
+  // A leaf's label is read off its CPI candidates (every candidate of u
+  // carries u's label), so a prepared plan suffices — the streaming
+  // iterator has no query graph. Every leaf's candidate set must be
+  // non-empty, i.e. the plan is not `no_results`.
+  LeafMatcher(const Graph& data, const Cpi& cpi,
+              const std::vector<VertexId>& leaves);
 
-  bool HasLeaves() const { return !leaves_.empty(); }
+  bool HasLeaves() const { return !steps_.empty(); }
+
+  // The leaves as class-major enumeration steps (each leaf's parent is
+  // bound by the core/forest embedding; leaves have no backward edges), so
+  // conflicts cluster early when an Enumerator expands them.
+  const std::vector<MatchStep>& steps() const { return steps_; }
 
   // Exact number of ways to extend the partial embedding in `state` (which
   // must cover every leaf parent) to all of V_I. Saturates at kNoLimit.
   // Accounts for remaining capacity on compressed data graphs.
   uint64_t CountEmbeddings(const Graph& data, const EnumeratorState& state) const;
-
-  // Enumerates leaf assignments, writing them into state.mapping/used and
-  // calling visit() per complete assignment; visit returns false to stop.
-  // Restores `state` before returning.
-  template <typename Visitor>
-  EnumerateStatus EnumerateEmbeddings(const Graph& data,
-                                      EnumeratorState& state,
-                                      Deadline& deadline,
-                                      Visitor&& visit) const;
 
  private:
   // NEC group: leaves with identical (label, parent) — identical candidates.
@@ -77,82 +78,18 @@ class LeafMatcher {
                       const LabelClass& cls) const;
 
   const Cpi* cpi_;
-  std::vector<VertexId> leaves_;
   std::vector<LabelClass> classes_;
-  std::vector<VertexId> flat_leaves_;  // class-major order for enumeration
+  std::vector<MatchStep> steps_;  // class-major, see steps()
 
   // Reused per-call scratch. CountEmbeddings runs once per partial core+
   // forest embedding — the hot loop of the whole matcher — so it must not
-  // allocate. LeafMatcher is consequently not thread-safe; the parallel
-  // matcher gives each enumeration worker its own copy (copying is cheap:
-  // the grouping vectors plus this scratch), all pointing at the one
-  // shared immutable CPI.
-  // cfl-lint: allow(mutable-member) per-call scratch; never shared — each enumeration worker owns a private LeafMatcher copy (DESIGN.md §7)
+  // allocate. LeafMatcher is consequently not thread-safe; every counting
+  // shard (match/count_roots.h) copies its own (copying is cheap: the
+  // grouping vectors plus this scratch), all pointing at the one shared
+  // immutable CPI.
+  // cfl-lint: allow(mutable-member) per-call scratch; never shared — each counting shard owns a private LeafMatcher copy (DESIGN.md §7)
   mutable std::vector<std::vector<std::pair<VertexId, uint32_t>>> avail_;
 };
-
-// ---- template implementation -------------------------------------------
-
-template <typename Visitor>
-EnumerateStatus LeafMatcher::EnumerateEmbeddings(const Graph& data,
-                                                 EnumeratorState& state,
-                                                 Deadline& deadline,
-                                                 Visitor&& visit) const {
-  if (flat_leaves_.empty()) {
-    return visit() ? EnumerateStatus::kDone : EnumerateStatus::kStopped;
-  }
-  // Straightforward backtracking over individual leaves: candidate lists
-  // come from the CPI adjacency under each leaf's parent mapping. Leaves
-  // are visited class-major so conflicts cluster early.
-  const size_t k = flat_leaves_.size();
-  std::vector<uint32_t> cursor(k, 0);
-  size_t depth = 0;
-
-  auto unbind = [&](size_t d) {
-    VertexId u = flat_leaves_[d];
-    --state.used[state.mapping[u]];
-    state.mapping[u] = kInvalidVertex;
-  };
-
-  while (true) {
-    if (deadline.ExpiredCoarse()) {
-      for (size_t d = 0; d < depth; ++d) unbind(d);
-      return EnumerateStatus::kTimedOut;
-    }
-    VertexId u = flat_leaves_[depth];
-    VertexId parent = cpi_->tree().parent[u];
-    std::span<const uint32_t> adjacent =
-        cpi_->AdjacentPositions(u, state.position[parent]);
-
-    bool bound = false;
-    while (cursor[depth] < adjacent.size()) {
-      uint32_t pos = adjacent[cursor[depth]++];
-      VertexId v = cpi_->CandidateAt(u, pos);
-      if (state.used[v] >= data.multiplicity(v)) continue;
-      state.mapping[u] = v;
-      ++state.used[v];
-      bound = true;
-      break;
-    }
-    if (!bound) {
-      if (depth == 0) return EnumerateStatus::kDone;
-      --depth;
-      unbind(depth);
-      continue;
-    }
-    if (depth + 1 == k) {
-      bool keep_going = visit();
-      unbind(depth);
-      if (!keep_going) {
-        for (size_t d = 0; d < depth; ++d) unbind(d);
-        return EnumerateStatus::kStopped;
-      }
-      continue;
-    }
-    ++depth;
-    cursor[depth] = 0;
-  }
-}
 
 }  // namespace cfl
 

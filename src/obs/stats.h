@@ -19,12 +19,12 @@
 //     many were answered by a hub bitmap, injectivity/backward rejects,
 //     partial embeddings discarded, deepest bound prefix, core+forest
 //     embeddings visited, leaf-match calls and counted leaf products.
-//     Recorded into the worker-private EnumeratorState (the thread-local
-//     shard) and merged into MatchStats at the join barrier, so recording
+//     Recorded into each Enumerator's private EnumStats (the shard-local
+//     copy) and merged into MatchStats at the join barrier, so recording
 //     itself is never contended.
-//   * Per-worker root-claim counts for the parallel matcher: without a cap
-//     or deadline their sum equals the root candidate count exactly (each
-//     root is claimed once), at any thread count.
+//   * Per-shard root-claim counts of the counting loop: without a cap or
+//     deadline their sum equals the root candidate count exactly (each
+//     root is claimed once), at any shard count.
 //
 // Compile-time gate: configure with -DCFL_STATS=OFF and every recording
 // site (all wrapped in CFL_STATS_ONLY) compiles to nothing — the hot path
@@ -73,10 +73,10 @@ inline constexpr bool kStatsEnabled = CFL_STATS_ENABLED != 0;
 inline constexpr uint32_t kLeafSampleStride = 64;
 }  // namespace obs
 
-// Enumeration-side counters. One instance lives in each EnumeratorState, so
-// in parallel runs every worker records into its own shard; MatchStats
-// merges the shards after the join barrier (no torn counters: nothing reads
-// a shard while its worker still runs).
+// Enumeration-side counters. One instance lives in each Enumerator, so in
+// sharded runs every shard records into its own copy; MatchStats merges the
+// shards after the join barrier (no torn counters: nothing reads a shard
+// while it still runs).
 struct EnumStats {
   uint64_t backward_probes = 0;   // HasEdge probes for backward non-tree edges
   uint64_t hub_probes = 0;        // of those, answered by a hub bitmap row
@@ -158,8 +158,8 @@ struct MatchStats {
   // --- Parallel run shape -------------------------------------------------
   uint32_t threads = 1;
   uint64_t root_candidates = 0;  // |C(root)| — the parallel work units
-  // Roots claimed per worker (size == threads for parallel runs, {n} for
-  // serial). Without a cap or deadline the entries sum to root_candidates.
+  // Roots claimed per shard (size == threads). Without a cap or deadline
+  // the entries sum to root_candidates.
   std::vector<uint64_t> worker_roots_claimed;
 
   uint64_t TotalRootsClaimed() const;

@@ -26,8 +26,8 @@ TaskPool::~TaskPool() {
 
 void TaskPool::InvokeTask(const std::function<void()>& task) noexcept {
   // Fail fast with the message instead of letting the exception escape the
-  // worker thread (std::terminate with no context); same boundary as
-  // ThreadPool::InvokeBody.
+  // worker thread (std::terminate with no context, or a latch waiter
+  // stranded forever).
   try {
     task();
   } catch (const std::exception& e) {
@@ -87,6 +87,18 @@ void TaskLatch::Wait() {
   MutexLock lock(mu_);
   // cfl-analyze: allow(blocking-under-lock) latch barrier: Wait releases mu_
   while (remaining_ != 0) done_.Wait(mu_);
+}
+
+void ForkJoin(TaskPool& pool, uint32_t tasks,
+              const std::function<void(uint32_t)>& body) {
+  TaskLatch latch(tasks);
+  for (uint32_t task = 0; task < tasks; ++task) {
+    pool.Submit([&body, &latch, task] {
+      body(task);
+      latch.CountDown();
+    });
+  }
+  latch.Wait();
 }
 
 }  // namespace cfl

@@ -1,23 +1,25 @@
-// Shared task-queue pool for concurrent multi-query scheduling.
+// The worker pool: a shared task queue drained by N threads.
 //
-// ThreadPool (thread_pool.h) is a fork-join parallel region: one Run at a
-// time, every worker executes the same body, the caller blocks at the join
-// barrier. That is the right shape for one query using the whole machine —
-// and exactly the wrong shape for a resident server, where many queries
-// must share the same workers without monopolizing them. `TaskPool` is the
-// complementary primitive: callers Submit independent tasks, N workers
-// drain the FIFO, and nothing ever blocks a submitter. Per-query fan-out is
-// rebuilt on top with `TaskLatch` (a countdown the query's session waits
-// on), so a query granted a quota of k enqueues k shard tasks and waits for
-// its own latch while other queries' shards interleave on the same workers.
+// Callers Submit independent tasks, N workers drain the FIFO, and nothing
+// ever blocks a submitter — the shape a resident server needs, where many
+// queries share the same workers without monopolizing them. Fork-join
+// fan-out is rebuilt on top with `TaskLatch` (a countdown the caller waits
+// on; `ForkJoin` below): a query granted k shards enqueues k shard tasks
+// and waits for its own latch while other queries' shards interleave on
+// the same workers. ParallelCflMatcher uses the same fan-out on a private
+// pool.
 //
-// Lock discipline matches ThreadPool: every cross-thread field is
-// CFL_GUARDED_BY the one pool mutex, Clang TSA-checked; task bodies must
-// not throw (same fail-fast boundary as ThreadPool::InvokeBody).
+// Lock discipline (machine-checked on Clang builds, see
+// check/thread_annotations.h): every cross-thread field is CFL_GUARDED_BY
+// the one pool mutex; `size_` is const and `workers_` is touched only by
+// the constructing/destructing thread. Task bodies must not throw: a
+// throwing task is caught at the InvokeTask boundary and fails fast with
+// its message (cfl_analyze rule worker-noexcept).
 //
-// Unlike ThreadPool, size 1 still spawns one worker thread: Submit must
-// return immediately even when the pool is busy (a server's accept loop
-// cannot run queries inline).
+// Size 1 still spawns one worker thread: Submit must return immediately
+// even when the pool is busy (a server's accept loop cannot run queries
+// inline). Callers that want a genuinely serial single-shard run skip the
+// pool instead.
 
 #ifndef CFL_PARALLEL_TASK_POOL_H_
 #define CFL_PARALLEL_TASK_POOL_H_
@@ -58,8 +60,9 @@ class TaskPool {
   uint32_t PendingTasks() CFL_EXCLUDES(mu_);
 
  private:
-  // noexcept: runs on the worker thread outside the InvokeTask boundary
-  // (same rationale as ThreadPool::WorkerLoop).
+  // noexcept: runs on the worker thread outside the InvokeTask boundary,
+  // where an escaped exception is an immediate std::terminate with no
+  // context (enforced by cfl_analyze rule worker-noexcept).
   void WorkerLoop() noexcept CFL_EXCLUDES(mu_);
 
   // The worker boundary: invokes the task and converts any escaped
@@ -80,8 +83,8 @@ class TaskPool {
 
 // Countdown completion latch: a query that fans k shard tasks out onto a
 // shared TaskPool constructs a TaskLatch(k), each shard calls CountDown()
-// as it finishes, and the query's session thread Wait()s — the fork-join
-// barrier of ThreadPool::Run, rebuilt per query on shared workers.
+// as it finishes, and the query's thread Wait()s — a fork-join barrier per
+// query on shared workers.
 class TaskLatch {
  public:
   explicit TaskLatch(uint32_t count) : remaining_(count) {}
@@ -99,6 +102,12 @@ class TaskLatch {
   CondVar done_;  // signaled under mu_ when remaining_ hits zero
   uint32_t remaining_ CFL_GUARDED_BY(mu_);
 };
+
+// Runs body(0), ..., body(tasks - 1) as tasks on `pool` and returns once
+// every one has finished. `body` must be safe to call concurrently and
+// must not throw (the TaskPool boundary fails fast on it).
+void ForkJoin(TaskPool& pool, uint32_t tasks,
+              const std::function<void(uint32_t)>& body);
 
 }  // namespace cfl
 

@@ -1,15 +1,15 @@
 // Concurrent multi-query scheduling over a shared worker pool.
 //
-// A resident server cannot hand each query a private fork-join ThreadPool:
-// N concurrent queries would oversubscribe the machine N-fold, and a pool
-// per query pays thread start/join on every request. Instead one TaskPool
+// A resident server cannot hand each query a private worker pool: N
+// concurrent queries would oversubscribe the machine N-fold, and a pool per
+// query pays thread start/join on every request. Instead one TaskPool
 // (parallel/task_pool.h) owns the enumeration workers for the whole
 // process, and each admitted query fans out a *quota* of shard tasks —
 // `max(1, workers / active_queries)` at admission time, so a lone query
 // still uses the whole machine while a loaded server degrades to one shard
-// per query. Shards claim enumeration roots from a shared atomic cursor,
-// exactly the work-stealing scheme of parallel/parallel_match.cc, and the
-// session thread joins on a TaskLatch.
+// per query. The shards are CountRun's root-claiming shard body
+// (match/count_roots.h) — the one the serial and parallel matchers run —
+// and the session thread joins on a TaskLatch (ForkJoin).
 //
 // Admission control enforces the server's budgets before any work starts:
 //   - at most `max_concurrent_queries` queries execute at once; later
@@ -94,7 +94,9 @@ class QueryScheduler {
   // must be the graph `prepared` was built from (the cache representative
   // on a hit). Blocks until the query completes; concurrent callers
   // interleave on the shared workers. `quota_used` (optional) reports the
-  // granted quota.
+  // granted quota. The result's stats carry the enumeration half only
+  // (search counters, per-shard root claims, enumerate_seconds): prepare
+  // may have run long before, for another query sharing the cached plan.
   MatchResult Execute(const Graph& data, const Graph& query,
                       const PreparedQuery& prepared,
                       const MatchLimits& requested,

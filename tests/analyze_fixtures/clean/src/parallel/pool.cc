@@ -1,8 +1,10 @@
-// Fixture: a clean worker boundary — the body is invoked only inside
-// InvokeBody, the out-of-boundary functions are noexcept, and everything a
-// Run lambda calls is noexcept or CFL_POOL_SAFE. Mutation self-test seeds
-// 7 and 8 break these properties.
+// Fixture: a clean worker boundary — a task is invoked only inside
+// InvokeTask, the out-of-boundary functions are noexcept, and everything a
+// Submit lambda calls is noexcept or CFL_POOL_SAFE. Mutation self-test
+// seeds 7 and 8 break these properties.
 #include "parallel/pool.h"
+
+#include <utility>
 
 #include "check/check.h"
 
@@ -16,22 +18,23 @@ uint64_t Allocating(uint64_t n) CFL_POOL_SAFE { return n * 2; }
 
 }  // namespace
 
-void ThreadPool::InvokeBody(const std::function<void(uint32_t)>& body,
-                            uint32_t worker_id) noexcept {
-  body(worker_id);
+void TaskPool::InvokeTask(const std::function<void()>& task) noexcept {
+  task();
 }
 
-void ThreadPool::WorkerLoop(uint32_t worker_id) noexcept {
-  InvokeBody(*body_, worker_id);
+void TaskPool::WorkerLoop() noexcept {
+  std::function<void()> task = std::move(queue_.front());
+  queue_.pop_front();
+  InvokeTask(task);
 }
 
-void ThreadPool::Run(const std::function<void(uint32_t)>& body) {
-  body_ = &body;
-  WorkerLoop(0);
+void TaskPool::Submit(std::function<void()> task) {
+  queue_.push_back(std::move(task));
+  WorkerLoop();
 }
 
-void Drive(ThreadPool& pool) {
-  pool.Run([&](uint32_t w) {
+void Drive(TaskPool& pool, uint64_t w) {
+  pool.Submit([w] {
     uint64_t total = Accumulate(w, 1);
     total = Allocating(total);
   });

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -122,6 +123,21 @@ TEST(CflMatchTest, SingleEdgeQuery) {
   Graph q = MakeGraph({0, 1}, {{0, 1}});  // A-B
   CflMatcher matcher(g);
   EXPECT_EQ(matcher.Match(q).embeddings, BruteForceCount(q, g));
+}
+
+// Regression: a query with no vertices used to read past an empty
+// root-choice list (segfault in Release); it is rejected up front instead.
+TEST(CflMatchTest, ZeroVertexQueryThrows) {
+  Graph g = Figure3Data();
+  Graph q = MakeGraph({}, {});
+  ASSERT_EQ(q.NumVertices(), 0u);
+  CflMatcher matcher(g);
+  EXPECT_THROW(matcher.Prepare(q), std::invalid_argument);
+  EXPECT_THROW(matcher.Match(q), std::invalid_argument);
+  MatchOptions enumerate;
+  enumerate.on_embedding = [](const Embedding&) { return true; };
+  EXPECT_THROW(matcher.Match(q, enumerate), std::invalid_argument);
+  EXPECT_THROW(matcher.EstimateEmbeddings(q), std::invalid_argument);
 }
 
 TEST(CflMatchTest, VariantsAgreeOnPaperFixtures) {

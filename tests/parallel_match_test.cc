@@ -1,14 +1,10 @@
-// Parallel enumeration layer: thread-pool semantics and serial-vs-parallel
-// equivalence of the root-partitioned matcher across thread counts, with
+// Parallel enumeration layer: serial-vs-parallel equivalence of the root-partitioned matcher across thread counts, with
 // and without embedding caps, deadlines, and compressed data graphs.
 
 #include "parallel/parallel_match.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,74 +13,12 @@
 #include "gen/query_gen.h"
 #include "gen/synthetic.h"
 #include "match/cfl_match.h"
-#include "parallel/thread_pool.h"
 #include "test_util.h"
 
 namespace cfl {
 namespace {
 
 const uint32_t kThreadCounts[] = {1, 2, 4, 8};
-
-// ---- ThreadPool ---------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsEveryWorkerExactlyOnce) {
-  for (uint32_t n : kThreadCounts) {
-    ThreadPool pool(n);
-    ASSERT_EQ(pool.size(), n);
-    std::vector<std::atomic<uint32_t>> hits(n);
-    for (auto& h : hits) h = 0;
-    pool.Run([&](uint32_t worker) {
-      ASSERT_LT(worker, n);
-      ++hits[worker];
-    });
-    for (uint32_t w = 0; w < n; ++w) EXPECT_EQ(hits[w], 1u) << "worker " << w;
-  }
-}
-
-TEST(ThreadPoolTest, RunIsABarrierAndReusable) {
-  ThreadPool pool(4);
-  std::atomic<uint64_t> sum{0};
-  for (int round = 1; round <= 3; ++round) {
-    pool.Run([&](uint32_t) { sum.fetch_add(1); });
-    // All four increments of the round must be visible after Run returns.
-    EXPECT_EQ(sum.load(), static_cast<uint64_t>(4 * round));
-  }
-}
-
-TEST(ThreadPoolTest, ZeroClampsToOneAndRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  std::thread::id caller = std::this_thread::get_id();
-  std::thread::id seen;
-  pool.Run([&](uint32_t worker) {
-    EXPECT_EQ(worker, 0u);
-    seen = std::this_thread::get_id();
-  });
-  EXPECT_EQ(seen, caller);  // size-1 pools run on the calling thread
-}
-
-// A body that throws must fail fast with a diagnostic, never unwind into
-// the worker loop or deadlock the Run() barrier. Exercise both execution
-// paths: the inline size-1 pool and a detached multi-worker pool.
-TEST(ThreadPoolDeathTest, ThrowingBodyFailsFastInline) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ThreadPool pool(1);
-  EXPECT_DEATH(
-      pool.Run([](uint32_t) { throw std::runtime_error("inline boom"); }),
-      "ThreadPool body threw.*inline boom");
-}
-
-TEST(ThreadPoolDeathTest, ThrowingBodyFailsFastOnWorker) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(4);
-        pool.Run([](uint32_t worker) {
-          if (worker == 2) throw std::runtime_error("worker boom");
-        });
-      },
-      "ThreadPool body threw.*worker boom");
-}
 
 // ---- Serial vs parallel equivalence -------------------------------------
 

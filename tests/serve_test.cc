@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "graph/graph_builder.h"
 #include "match/cfl_match.h"
 #include "match/iterator.h"
+#include "obs/stats.h"
 #include "parallel/task_pool.h"
 #include "serve/canonical.h"
 #include "serve/client.h"
@@ -295,6 +297,31 @@ TEST(TaskPoolTest, DrainsQueueOnDestruction) {
   EXPECT_EQ(ran.load(), 50u);
 }
 
+// A task that throws must fail fast with a diagnostic, never unwind into
+// the worker loop or strand a latch waiter. Exercise a single-worker pool
+// and a multi-worker one.
+TEST(TaskPoolDeathTest, ThrowingTaskFailsFastOnSingleWorker) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        TaskPool pool(1);
+        pool.Submit([] { throw std::runtime_error("single boom"); });
+      },
+      "TaskPool task threw.*single boom");
+}
+
+TEST(TaskPoolDeathTest, ThrowingTaskFailsFastOnWorker) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        TaskPool pool(4);
+        ForkJoin(pool, 4, [](uint32_t task) {
+          if (task == 2) throw std::runtime_error("worker boom");
+        });
+      },
+      "TaskPool task threw.*worker boom");
+}
+
 // ---- scheduler ----------------------------------------------------------
 
 TEST(SchedulerTest, ClampsLimitsToServerBudgets) {
@@ -336,6 +363,52 @@ TEST(SchedulerTest, CountsMatchSerialEngine) {
     EXPECT_FALSE(served.timed_out);
     EXPECT_GE(quota, 1u);
     EXPECT_LE(quota, options.workers);
+  }
+}
+
+// Served count queries run the same shard body as the serial matcher, so
+// their enumeration-side stats must hold every identity and agree exactly
+// with a serial run of the same plan at any quota.
+TEST(SchedulerTest, ServedStatsMatchSerialAtEveryQuota) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
+  Graph data = TestData();
+  CflMatcher matcher(data);
+  for (uint32_t quota_cap : {1u, 2u, 4u}) {
+    serve::SchedulerOptions options;
+    options.workers = 4;
+    options.max_quota = quota_cap;
+    serve::QueryScheduler scheduler(options);
+    for (const Graph& q : TestQueries(data, 6, 8, 83)) {
+      MatchResult serial = matcher.Match(q);
+      PreparedQuery prepared = matcher.Prepare(q);
+      if (prepared.no_results) continue;
+      uint32_t quota = 0;
+      MatchResult served =
+          scheduler.Execute(data, q, prepared, MatchLimits{}, &quota);
+      const std::string tag = "quota=" + std::to_string(quota);
+      EXPECT_EQ(quota, quota_cap);
+      ASSERT_TRUE(served.stats.recorded) << tag;
+      EXPECT_EQ(obs::CheckStatsInvariants(served.stats, served.embeddings,
+                                          served.total_seconds),
+                "")
+          << tag;
+      EXPECT_EQ(served.embeddings, serial.embeddings) << tag;
+      EXPECT_EQ(served.stats.enumeration.core_visits,
+                serial.stats.enumeration.core_visits)
+          << tag;
+      EXPECT_EQ(served.stats.enumeration.leaf_products,
+                serial.stats.enumeration.leaf_products)
+          << tag;
+      EXPECT_EQ(served.stats.candidates_tried, serial.stats.candidates_tried)
+          << tag;
+      EXPECT_EQ(served.candidates_tried, serial.candidates_tried) << tag;
+      EXPECT_EQ(served.stats.TotalRootsClaimed(),
+                serial.stats.TotalRootsClaimed())
+          << tag;
+      EXPECT_EQ(served.stats.TotalRootsClaimed(),
+                served.stats.root_candidates)
+          << tag;
+    }
   }
 }
 
@@ -685,6 +758,35 @@ TEST(QueryServerTest, MalformedRequestsGetErrAndConnectionStaysUsable) {
   serve::ServeClient client;
   ASSERT_TRUE(client.Connect(fixture.socket_path()));
   EXPECT_EQ(client.Stats()["errors"], 5u);
+}
+
+// Regression: a query graph with no vertices used to read past an empty
+// root-choice list in Prepare and take the whole server down.
+TEST(QueryServerTest, ZeroVertexQueryGetsErrAndServerStaysUp) {
+  Graph data = Figure3Data();
+  serve::ServeOptions options;
+  options.socket_path = TestSocketPath("empty");
+  options.workers = 2;
+  ServerFixture fixture(data, options);
+  RawConn conn(fixture.socket_path());
+  ASSERT_TRUE(conn.ok());
+
+  std::string line;
+  for (const char* mode : {"count", "stream"}) {
+    ASSERT_TRUE(conn.Send(std::string("QUERY mode=") + mode + "\nt 0 0\nEND\n"));
+    ASSERT_TRUE(conn.ReadLine(&line)) << mode;
+    EXPECT_EQ(line.rfind("ERR ", 0), 0u) << mode << ": " << line;
+    EXPECT_NE(line.find("no vertices"), std::string::npos) << line;
+  }
+
+  ASSERT_TRUE(conn.Send("PING\n"));
+  ASSERT_TRUE(conn.ReadLine(&line));
+  EXPECT_EQ(line, "PONG");
+  RawConn fresh(fixture.socket_path());
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(fresh.Send("PING\n"));
+  ASSERT_TRUE(fresh.ReadLine(&line));
+  EXPECT_EQ(line, "PONG");
 }
 
 TEST(QueryServerTest, OversizeRequestLineGetsErrNotUnboundedBuffering) {

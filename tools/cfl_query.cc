@@ -96,29 +96,41 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
+  // Every engine assumes a non-empty query; CflMatcher::Prepare rejects an
+  // empty one, the baselines would index past it.
+  if (query.NumVertices() == 0) {
+    std::fprintf(stderr, "error: query graph has no vertices\n");
+    return 1;
+  }
   std::printf("data:  %s\n", Describe(ComputeStats(data)).c_str());
   std::printf("query: %s\n", Describe(ComputeStats(query)).c_str());
 
   MatchResult result;
-  if (print) {
-    // Enumeration with a callback is a CflMatcher feature.
-    CflMatcher matcher(data);
-    MatchOptions options;
-    options.limits = limits;
-    options.on_embedding = [&](const Embedding& m) {
-      std::printf("embedding:");
-      for (VertexId u = 0; u < query.NumVertices(); ++u) {
-        std::printf(" %u->%u", u, m[u]);
-      }
-      std::printf("\n");
-      return true;
-    };
-    result = matcher.Match(query, options);
-    engine_name = "cfl";
-  } else {
-    std::unique_ptr<SubgraphEngine> engine = MakeEngine(engine_name, data);
-    if (engine == nullptr) Usage(argv[0]);
-    result = engine->Run(query, limits);
+  try {
+    if (print) {
+      // Enumeration with a callback is a CflMatcher feature.
+      CflMatcher matcher(data);
+      MatchOptions options;
+      options.limits = limits;
+      options.on_embedding = [&](const Embedding& m) {
+        std::printf("embedding:");
+        for (VertexId u = 0; u < query.NumVertices(); ++u) {
+          std::printf(" %u->%u", u, m[u]);
+        }
+        std::printf("\n");
+        return true;
+      };
+      result = matcher.Match(query, options);
+      engine_name = "cfl";
+    } else {
+      std::unique_ptr<SubgraphEngine> engine = MakeEngine(engine_name, data);
+      if (engine == nullptr) Usage(argv[0]);
+      result = engine->Run(query, limits);
+    }
+  } catch (const std::exception& e) {
+    // A query the matcher rejects, e.g. a disconnected one (Prepare).
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
 
   std::printf(
