@@ -4,7 +4,8 @@
 // or Cpi — unsort an adjacency list, point a CPI position out of range —
 // and assert the validators catch it. Graph and Cpi are deliberately
 // immutable after construction, so the corruption goes through these friend
-// structs instead of loosening the production API.
+// structs instead of loosening the production API. The CPI builder tests
+// (tests/cpi_test.cc) read the builder's private scratch the same way.
 //
 // Never include this header outside of tests.
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "cpi/cpi.h"
+#include "cpi/cpi_builder.h"
 #include "graph/graph.h"
 
 namespace cfl {
@@ -80,6 +82,17 @@ struct CpiTestAccess {
   static std::span<uint32_t> AdjEntries(Cpi& cpi, VertexId u) {
     return {cpi.adj_entry_arena_.data() + cpi.adj_entry_start_[u],
             cpi.adj_entry_arena_.data() + cpi.adj_entry_start_[u + 1]};
+  }
+};
+
+struct CpiBuilderTestAccess {
+  // The counting scratch (cpi_builder.h), which every Build must leave
+  // all-zero.
+  static const std::vector<uint32_t>& Counts(const CpiBuilder& b) {
+    return b.cnt_;
+  }
+  static const std::vector<uint64_t>& SeenBits(const CpiBuilder& b) {
+    return b.seen_;
   }
 };
 

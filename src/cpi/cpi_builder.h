@@ -67,22 +67,28 @@ class CpiBuilder {
   void TopDownConstruct(const Graph& q, const BfsTree& tree);
   void BottomUpRefine(const Graph& q, const BfsTree& tree);
 
-  // Intersection-counting primitive (Lemma 5.1): filters the data vertices
-  // that have a neighbor in cand_[u'] for every u' in `against`, optionally
-  // seeding from scratch (generate) or filtering an existing set (refine).
+  // Counting primitive (Lemma 5.1): filters the data vertices that have a
+  // neighbor in cand_[u'] for every u' in `against`, optionally seeding from
+  // scratch (generate) or filtering an existing set (refine).
   void GenerateCandidates(const Graph& q, VertexId u,
                           const std::vector<VertexId>& against);
   void RefineCandidates(VertexId u, const std::vector<VertexId>& against);
 
   // Shared round loop of the two passes above: filters the sorted survivor
-  // list surv_ against cand_[against[first..]] one round at a time, each
-  // vprime label-run intersected with surv_ through the kernel layer
-  // (kernels/kernels.h). Marks cnt_ with values 1.. per round; callers reset
-  // cnt_ over the round-0 seed set afterwards.
+  // list surv_ against cand_[against[first..]] one counting pass per round.
+  // Every survivor starts at mark 1 in cnt_; round k scans the label run of
+  // each vprime and promotes v from mark k to k+1, so after the round exactly
+  // the vertices at k+1 survive. A run more than kernels::kGallopRatio times
+  // longer than surv_ is galloped through the kernel layer instead of
+  // scanned (same marks). Returns cnt_ to all-zero.
   void RefineRounds(Label label, const std::vector<VertexId>& against,
                     size_t first);
 
+  // Position lists of §A.2 by counting: cnt_ holds position+1 for each child
+  // candidate while each parent candidate's label run is scanned.
   void BuildAdjacency(const BfsTree& tree, Cpi* cpi);
+
+  friend struct CpiBuilderTestAccess;  // check/test_access.h
 
   const Graph& data_;
   std::vector<std::vector<VertexId>> cand_;
@@ -90,15 +96,19 @@ class CpiBuilder {
   // Stats sink for the Build in flight; null when the caller passed none.
   CpiBuildStats* stats_ = nullptr;
 
-  // Scratch, |V(G)|-sized, reset via touched lists after each use.
+  // Counting scratch, |V(G)|-sized, allocated once and all-zero between
+  // passes (each pass clears exactly what it set): cnt_ carries the
+  // per-vertex round marks of RefineRounds and the position+1 labels of
+  // BuildAdjacency; seen_ is the |V(G)|-bit seed-set bitset of
+  // GenerateCandidates, emitted in ascending id order.
   std::vector<uint32_t> cnt_;
-  std::vector<VertexId> touched_;
+  std::vector<uint64_t> seen_;
 
   // Small reused buffers (cleared per query vertex, allocated once).
   std::vector<VertexId> vis_;    // TopDownConstruct: visited query neighbors
   std::vector<VertexId> lower_;  // BottomUpRefine: lower-level neighbors
   std::vector<VertexId> surv_;   // RefineRounds: sorted survivor list
-  std::vector<VertexId> isect_;  // RefineRounds: per-run intersection
+  std::vector<VertexId> isect_;  // RefineRounds: galloped hub-run matches
 };
 
 // One-shot convenience wrapper.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "check/check.h"
 
@@ -70,6 +71,9 @@ bool GraphDelta::HasEdgeNow(VertexId u, VertexId v) const {
 
 bool GraphDelta::AddVertex(Label label, VertexId* id_out) {
   if (sealed_) return Fail("delta is sealed");
+  if (label > kMaxLabel) {
+    return Fail("label " + std::to_string(label) + " is out of range");
+  }
   const VertexId id = NewVertices();
   added_labels_.push_back(label);
   // Materialize the per-vertex slot so the vertex counts as touched (its

@@ -71,7 +71,8 @@ class GraphDelta {
   // unchanged and stays usable (the server reports the op, not the batch).
 
   // Appends a vertex (id = base vertices + added so far; reported via
-  // `id_out` when non-null). Isolated until edges are added.
+  // `id_out` when non-null). Isolated until edges are added. A label above
+  // kMaxLabel is rejected.
   bool AddVertex(Label label, VertexId* id_out = nullptr);
 
   // Tombstones `v`: drops every currently-present incident edge.

@@ -67,7 +67,8 @@ class GraphFolder {
         base_.NumEdges() + delta_.AddedEdges() - delta_.RemovedEdges();
     g.num_labels_ = base_.NumLabels();
     for (uint32_t i = 0; i < delta_.AddedVertices(); ++i) {
-      g.num_labels_ = std::max(g.num_labels_, delta_.AddedVertexLabel(i) + 1);
+      g.num_labels_ = std::max(g.num_labels_,
+                               LabelCountCovering(delta_.AddedVertexLabel(i)));
     }
     g.effective_num_vertices_ = n;
     g.effective_degree_.resize(n);

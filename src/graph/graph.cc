@@ -1,8 +1,20 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace cfl {
+
+uint32_t LabelCountCovering(Label l) {
+  const uint64_t count = uint64_t{l} + 1;
+  if (count > uint64_t{kMaxLabel} + 1) {
+    throw std::invalid_argument("label " + std::to_string(l) +
+                                " is out of range (the largest label is " +
+                                std::to_string(kMaxLabel) + ")");
+  }
+  return static_cast<uint32_t>(count);
+}
 
 uint32_t Graph::NeighborLabelCount(VertexId v, Label l) const {
   std::span<const LabelCount> runs = NeighborLabelCounts(v);

@@ -58,6 +58,15 @@ using Label = uint32_t;
 
 inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
 
+// The largest valid label. UINT32_MAX is not a label: a graph's label count
+// is max(label) + 1, which must fit its uint32_t.
+inline constexpr Label kMaxLabel = static_cast<Label>(-1) - 1;
+
+// The label count covering label `l`, i.e. l + 1, computed in 64 bits so it
+// cannot wrap to 0 (which would size every label-indexed array to zero).
+// Throws std::invalid_argument for a label above kMaxLabel.
+uint32_t LabelCountCovering(Label l);
+
 class GraphBuilder;
 
 namespace dyn {

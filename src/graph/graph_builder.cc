@@ -104,7 +104,9 @@ Graph GraphBuilder::Build() && {
   g.num_edges_ = (edges_.size() - loops) / 2 + loops;
 
   g.num_labels_ = 0;
-  for (Label l : g.labels_) g.num_labels_ = std::max(g.num_labels_, l + 1);
+  for (Label l : g.labels_) {
+    g.num_labels_ = std::max(g.num_labels_, LabelCountCovering(l));
+  }
 
   auto mult = [&g](VertexId v) {
     return g.multiplicity_.empty() ? 1u : g.multiplicity_[v];

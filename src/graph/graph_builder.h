@@ -55,7 +55,8 @@ class GraphBuilder {
 
   uint32_t num_vertices() const { return num_vertices_; }
 
-  // Finalizes the graph. The builder is left in a moved-from state.
+  // Finalizes the graph. The builder is left in a moved-from state. Throws
+  // std::invalid_argument if a label is above kMaxLabel.
   Graph Build() &&;
 
  private:

@@ -19,7 +19,8 @@
 
 namespace cfl {
 
-// Parses a graph from `in`. Throws std::runtime_error on malformed input.
+// Parses a graph from `in`. Throws std::runtime_error on malformed input,
+// and std::invalid_argument on a label above kMaxLabel (graph.h).
 Graph ReadGraph(std::istream& in);
 
 // Loads a graph from the file at `path`. Throws on I/O or parse errors.

@@ -28,8 +28,6 @@ namespace cfl::kernels::avx2 {
 
 namespace {
 
-using detail::kGallopRatio;
-
 // Lane-compaction shuffle control: for an 8-bit match mask, the lane
 // indices of the set bits packed to the front (trailing lanes don't care).
 struct CompactTable {

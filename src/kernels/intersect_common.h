@@ -1,8 +1,8 @@
 // Internal helpers shared by the scalar and AVX2 intersection translation
 // units: the galloping (exponential + binary) search side of the
-// size-adaptive strategy, and the skew cutover constant. Scalar code only —
-// this header is compiled both with and without -mavx2 and must behave
-// identically either way. Not part of the public kernel API.
+// size-adaptive strategy (its cutover, kGallopRatio, is in kernels.h).
+// Scalar code only — this header is compiled both with and without -mavx2
+// and must behave identically either way. Not part of the public kernel API.
 
 #ifndef CFL_KERNELS_INTERSECT_COMMON_H_
 #define CFL_KERNELS_INTERSECT_COMMON_H_
@@ -13,12 +13,6 @@
 #include <vector>
 
 namespace cfl::kernels::detail {
-
-// Skew cutover: when one input is this many times longer than the other,
-// galloping the small side through the large one beats any merge — the
-// merge would stream the whole large input, galloping touches O(small·log)
-// of it. Below the cutover, block merges win (SIMD when dispatched).
-inline constexpr size_t kGallopRatio = 32;
 
 // Smallest index i in [from, n) with arr[i] >= key, found by exponential
 // probing from `from` followed by binary search inside the located window.

@@ -11,8 +11,6 @@ namespace cfl::kernels::scalar {
 
 namespace {
 
-using detail::kGallopRatio;
-
 void MergeValues(std::span<const uint32_t> a, std::span<const uint32_t> b,
                  std::vector<uint32_t>& out) {
   size_t i = 0;

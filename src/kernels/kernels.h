@@ -2,13 +2,15 @@
 // in, behind one dispatch-at-startup indirection (DESIGN.md §11).
 //
 //   * Ordered-set intersection (`IntersectSorted` / `IntersectCount` /
-//     `IntersectPositions`): strictly-ascending uint32 inputs — exactly the
-//     label-partitioned adjacency runs and candidate sets the CPI builder
-//     intersects (Algorithm 3 / Lemma 5.1). The strategy is size-adaptive:
-//     balanced inputs take a block-compare merge (AVX2: 8-lane all-pairs
-//     compare per block), skewed inputs take galloping binary search of the
-//     small side inside the large one, so a hub-sized run against a handful
-//     of candidates costs O(small · log large), not O(large).
+//     `IntersectPositions`): strictly-ascending uint32 inputs, such as the
+//     label-partitioned adjacency runs and candidate sets. The strategy is
+//     size-adaptive: balanced inputs take a block-compare merge (AVX2:
+//     8-lane all-pairs compare per block), inputs skewed past kGallopRatio
+//     take galloping binary search of the small side inside the large one,
+//     so a hub-sized run against a handful of candidates costs
+//     O(small · log large), not O(large). The CPI builder filters by
+//     counting scans (Lemma 5.1), not intersections; it calls these only
+//     for that hub case.
 //   * Backward-edge verification (`VerifyBackwardEdges`): all backward
 //     non-tree edges of an enumeration step, batched against the data
 //     graph's per-hub bitmap rows (graph.h) word-at-a-time. The enumerator
@@ -110,6 +112,14 @@ uint32_t VerifyBackwardEdges(const Graph& data, const BackwardPlan& plan,
 
 // All inputs must be strictly ascending (the CSR/CPI sortedness invariant);
 // the outputs below are then strictly ascending too.
+
+// Skew cutover: when one input is more than this many times longer than the
+// other, galloping the small side through the large one beats any merge —
+// the merge would stream the whole large input, galloping touches
+// O(small·log) of it. Below the cutover, block merges win (SIMD when
+// dispatched). The CPI builder's counting scans use the same cutover to
+// hand hub-sized runs to these kernels.
+inline constexpr size_t kGallopRatio = 32;
 
 // Appends a ∩ b (element values) to `out`.
 void IntersectSorted(std::span<const uint32_t> a, std::span<const uint32_t> b,

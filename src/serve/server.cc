@@ -8,7 +8,10 @@
 #include <cerrno>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -308,6 +311,7 @@ bool QueryServer::HandleQuery(int fd, LineReader& reader,
     remap = std::move(hit.remap);
   } else {
     WallTimer prepare_timer;
+    std::optional<std::string> rejected;
     {
       // Prepare reuses the CPI builder's scratch: one at a time. Insert
       // rides inside the critical section (lock order prepare_mu_ ->
@@ -322,18 +326,28 @@ bool QueryServer::HandleQuery(int fd, LineReader& reader,
         matcher_ = std::make_unique<CflMatcher>(*matcher_graph_);
         matcher_epoch_ = snapshot.epoch();
       }
-      PreparedQuery prepared = matcher_->Prepare(query);
-      if (dyn_.CurrentEpoch() == snapshot.epoch()) {
-        plan = cache_.Insert(query, std::move(prepared), snapshot.epoch());
-      } else {
-        // An update committed since we pinned: this plan describes a
-        // superseded epoch. Correct for *this* query (snapshot isolation)
-        // but must not outlive it in the cache — the committed batch's
-        // invalidation pass ran before this insert would land. Updates
-        // also hold prepare_mu_, so the epoch check and Insert are atomic
-        // with respect to commits.
-        plan = std::make_shared<const PreparedQuery>(std::move(prepared));
+      try {
+        PreparedQuery prepared = matcher_->Prepare(query);
+        if (dyn_.CurrentEpoch() == snapshot.epoch()) {
+          plan = cache_.Insert(query, std::move(prepared), snapshot.epoch());
+        } else {
+          // An update committed since we pinned: this plan describes a
+          // superseded epoch. Correct for *this* query (snapshot isolation)
+          // but must not outlive it in the cache — the committed batch's
+          // invalidation pass ran before this insert would land. Updates
+          // also hold prepare_mu_, so the epoch check and Insert are atomic
+          // with respect to commits.
+          plan = std::make_shared<const PreparedQuery>(std::move(prepared));
+        }
+      } catch (const std::invalid_argument& e) {
+        // Prepare rejects a query outside its domain (no vertices,
+        // disconnected): a client error, answered once the lock drops.
+        rejected = e.what();
       }
+    }
+    if (rejected.has_value()) {
+      CountError();
+      return WriteAll(fd, "ERR bad query graph: " + *rejected + "\n");
     }
     outcome.prepare_ms = prepare_timer.Lap() * 1e3;
     plan_graph = std::make_shared<const Graph>(query);

@@ -6,15 +6,19 @@
 
 #include <algorithm>
 #include <numeric>
+#include <set>
 #include <span>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "check/test_access.h"
 #include "cpi/candidate_filter.h"
 #include "cpi/root_select.h"
 #include "decomp/bfs_tree.h"
 #include "gen/query_gen.h"
 #include "gen/synthetic.h"
+#include "graph/graph_builder.h"
 #include "test_util.h"
 
 namespace cfl {
@@ -338,6 +342,293 @@ TEST(CpiMonotonicityTest, RefinedIsSubsetOfTopDownIsSubsetOfNaive) {
     EXPECT_TRUE(std::includes(n.begin(), n.end(), t.begin(), t.end()));
     EXPECT_TRUE(std::includes(t.begin(), t.end(), r.begin(), r.end()));
   }
+}
+
+
+// ---- Reference CPI (Algorithms 3 and 4, §A.2 position lists) ------------
+//
+// A plain std::set transcription of the paper's construction, with none of
+// the builder's machinery (no label runs, no counting scratch, no kernels):
+// a candidate survives against u' iff one of its data neighbors (in any
+// label) is in C(u').
+// CpiBuilder::Build must reproduce it arena for arena, and its stats
+// counters must match the per-phase set sizes.
+
+struct ReferenceCpi {
+  std::vector<std::set<VertexId>> cand;
+  std::vector<uint64_t> generated, pruned_backward, pruned_bottomup;
+  // The Cpi arenas this construction lays out (see cpi.h).
+  std::vector<VertexId> cand_arena;
+  std::vector<uint64_t> cand_offsets;
+  std::vector<uint32_t> adj_off_arena;
+  std::vector<uint64_t> adj_off_start;
+  std::vector<uint32_t> adj_entry_arena;
+  std::vector<uint64_t> adj_entry_start;
+};
+
+ReferenceCpi ReferenceBuild(const Graph& q, const Graph& g,
+                            const BfsTree& tree, CpiStrategy strategy) {
+  const uint32_t n = q.NumVertices();
+  ReferenceCpi ref;
+  ref.cand.resize(n);
+  ref.generated.assign(n, 0);
+  ref.pruned_backward.assign(n, 0);
+  ref.pruned_bottomup.assign(n, 0);
+
+  auto has_neighbor_in = [&](VertexId v, const std::set<VertexId>& c) {
+    std::span<const VertexId> adj = g.Neighbors(v);
+    return std::any_of(adj.begin(), adj.end(),
+                       [&c](VertexId w) { return c.count(w) != 0; });
+  };
+  // Drops the candidates of u without a neighbor in every C(u'), u' in
+  // `against`; returns how many it dropped.
+  auto prune = [&](VertexId u, const std::vector<VertexId>& against) {
+    uint64_t dropped = 0;
+    for (auto it = ref.cand[u].begin(); it != ref.cand[u].end();) {
+      const VertexId v = *it;
+      if (std::all_of(against.begin(), against.end(), [&](VertexId up) {
+            return has_neighbor_in(v, ref.cand[up]);
+          })) {
+        ++it;
+      } else {
+        it = ref.cand[u].erase(it);
+        ++dropped;
+      }
+    }
+    return dropped;
+  };
+  // Label, degree and CandVerify: the filters that need no other C(u').
+  auto local = [&](VertexId u) {
+    std::set<VertexId> c;
+    for (VertexId v : g.VerticesWithLabel(q.label(u))) {
+      if (g.degree(v) >= q.StructuralDegree(u) && CandVerify(q, u, g, v)) {
+        c.insert(v);
+      }
+    }
+    return c;
+  };
+
+  if (strategy == CpiStrategy::kNaive) {
+    for (VertexId u = 0; u < n; ++u) {
+      std::span<const VertexId> vs = g.VerticesWithLabel(q.label(u));
+      ref.cand[u] = {vs.begin(), vs.end()};
+      ref.generated[u] = ref.cand[u].size();
+    }
+  } else {
+    // Algorithm 3: per level, forward generation against the visited
+    // neighbors, then backward pruning (reverse order) against the
+    // same-level neighbors that were unvisited when u was generated.
+    std::vector<bool> visited(n, false);
+    ref.cand[tree.root] = local(tree.root);
+    ref.generated[tree.root] = ref.cand[tree.root].size();
+    visited[tree.root] = true;
+    std::vector<std::vector<VertexId>> unvisited_same_level(n);
+    for (uint32_t lev = 1; lev < tree.NumLevels(); ++lev) {
+      for (VertexId u : tree.levels[lev]) {
+        std::vector<VertexId> vis;
+        for (VertexId up : q.Neighbors(u)) {
+          if (visited[up]) {
+            vis.push_back(up);
+          } else if (tree.level[up] == tree.level[u]) {
+            unvisited_same_level[u].push_back(up);
+          }
+        }
+        ref.cand[u] = local(u);
+        prune(u, vis);
+        ref.generated[u] = ref.cand[u].size();
+        visited[u] = true;
+      }
+      for (auto it = tree.levels[lev].rbegin(); it != tree.levels[lev].rend();
+           ++it) {
+        ref.pruned_backward[*it] = prune(*it, unvisited_same_level[*it]);
+      }
+    }
+    // Algorithm 4: bottom-up against the lower-level neighbors.
+    if (strategy == CpiStrategy::kRefined) {
+      for (auto it = tree.order.rbegin(); it != tree.order.rend(); ++it) {
+        std::vector<VertexId> lower;
+        for (VertexId up : q.Neighbors(*it)) {
+          if (tree.level[up] == tree.level[*it] + 1) lower.push_back(up);
+        }
+        ref.pruned_bottomup[*it] = prune(*it, lower);
+      }
+    }
+  }
+
+  // §A.2 layout: candidates ascending; per tree edge (p, u) and per parent
+  // candidate, the ascending positions in u.C of its data neighbors.
+  ref.cand_offsets.assign(n + 1, 0);
+  ref.adj_off_start.assign(n + 1, 0);
+  ref.adj_entry_start.assign(n + 1, 0);
+  for (VertexId u = 0; u < n; ++u) {
+    ref.cand_arena.insert(ref.cand_arena.end(), ref.cand[u].begin(),
+                          ref.cand[u].end());
+    ref.cand_offsets[u + 1] = ref.cand_arena.size();
+    if (u != tree.root) {
+      const std::vector<VertexId> child(ref.cand[u].begin(),
+                                        ref.cand[u].end());
+      const uint64_t base = ref.adj_entry_arena.size();
+      ref.adj_off_arena.push_back(0);
+      for (VertexId vp : ref.cand[tree.parent[u]]) {
+        std::set<uint32_t> positions;
+        for (VertexId w : g.Neighbors(vp)) {
+          auto it = std::lower_bound(child.begin(), child.end(), w);
+          if (it != child.end() && *it == w) {
+            positions.insert(static_cast<uint32_t>(it - child.begin()));
+          }
+        }
+        ref.adj_entry_arena.insert(ref.adj_entry_arena.end(),
+                                   positions.begin(), positions.end());
+        ref.adj_off_arena.push_back(
+            static_cast<uint32_t>(ref.adj_entry_arena.size() - base));
+      }
+    }
+    ref.adj_off_start[u + 1] = ref.adj_off_arena.size();
+    ref.adj_entry_start[u + 1] = ref.adj_entry_arena.size();
+  }
+  return ref;
+}
+
+// Builds q over every root and strategy with the one `builder`, checking
+// each Cpi arena for arena against the reference, the stats counters
+// against the reference's phase sizes, and the builder's counting scratch
+// back at all-zero after every Build.
+void ExpectBuilderMatchesReference(CpiBuilder& builder, const Graph& q,
+                                   const Graph& g, const std::string& what) {
+  const std::vector<uint32_t>& cnt = CpiBuilderTestAccess::Counts(builder);
+  const std::vector<uint64_t>& seen = CpiBuilderTestAccess::SeenBits(builder);
+  ASSERT_EQ(cnt.size(), g.NumVertices());
+  ASSERT_EQ(seen.size(), (g.NumVertices() + 63) / 64);
+  for (VertexId root = 0; root < q.NumVertices(); ++root) {
+    const BfsTree tree = BuildBfsTree(q, root);
+    for (CpiStrategy strategy :
+         {CpiStrategy::kNaive, CpiStrategy::kTopDown, CpiStrategy::kRefined}) {
+      SCOPED_TRACE(what + " root " + std::to_string(root) + " strategy " +
+                   std::to_string(static_cast<int>(strategy)));
+      const ReferenceCpi ref = ReferenceBuild(q, g, tree, strategy);
+      CpiBuildStats stats;
+      Cpi cpi = builder.Build(q, tree, strategy, &stats);
+      EXPECT_EQ(CpiTestAccess::CandArena(cpi), ref.cand_arena);
+      EXPECT_EQ(CpiTestAccess::CandOffsets(cpi), ref.cand_offsets);
+      EXPECT_EQ(CpiTestAccess::AdjOffArena(cpi), ref.adj_off_arena);
+      EXPECT_EQ(CpiTestAccess::AdjOffStart(cpi), ref.adj_off_start);
+      EXPECT_EQ(CpiTestAccess::AdjEntryArena(cpi), ref.adj_entry_arena);
+      EXPECT_EQ(CpiTestAccess::AdjEntryStart(cpi), ref.adj_entry_start);
+      if (obs::kStatsEnabled) {
+        EXPECT_EQ(stats.generated, ref.generated);
+        EXPECT_EQ(stats.pruned_backward, ref.pruned_backward);
+        EXPECT_EQ(stats.pruned_bottomup, ref.pruned_bottomup);
+      }
+      EXPECT_TRUE(std::all_of(cnt.begin(), cnt.end(),
+                              [](uint32_t c) { return c == 0; }));
+      EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
+                              [](uint64_t w) { return w == 0; }));
+    }
+  }
+}
+
+// Connected query induced on the first `k` vertices of a BFS from `start`
+// in g: query vertex 0 maps to `start` in the identity embedding, so by
+// soundness `start` is a candidate of vertex 0 under every strategy.
+Graph BallQuery(const Graph& g, VertexId start, uint32_t k) {
+  std::vector<VertexId> ball = {start};
+  std::vector<bool> seen(g.NumVertices(), false);
+  seen[start] = true;
+  for (size_t i = 0; i < ball.size() && ball.size() < k; ++i) {
+    for (VertexId w : g.Neighbors(ball[i])) {
+      if (!seen[w] && ball.size() < k) {
+        seen[w] = true;
+        ball.push_back(w);
+      }
+    }
+  }
+  return InducedSubgraph(g, ball);
+}
+
+// Seeded synthetic pairs whose |V(G)| is not a multiple of 64 (the last
+// bitset word is partial) and whose last vertex |V(G)|-1 is a candidate.
+TEST(CpiReferenceTest, SyntheticPairsMatchReference) {
+  for (uint32_t num_vertices : {517u, 777u, 1001u}) {
+    ASSERT_NE(num_vertices % 64, 0u);
+    SyntheticOptions options;
+    options.num_vertices = num_vertices;
+    options.average_degree = 6.0;
+    options.num_labels = 5;
+    options.seed = num_vertices;
+    const Graph g = MakeSynthetic(options);
+    CpiBuilder builder(g);
+
+    const VertexId last = num_vertices - 1;
+    const Graph ball = BallQuery(g, last, 6);
+    ExpectBuilderMatchesReference(builder, ball, g, "ball");
+    const BfsTree tree = BuildBfsTree(ball, 0);
+    for (CpiStrategy strategy :
+         {CpiStrategy::kNaive, CpiStrategy::kTopDown, CpiStrategy::kRefined}) {
+      const Cpi cpi = builder.Build(ball, tree, strategy);
+      std::span<const VertexId> c = cpi.Candidates(0);
+      EXPECT_TRUE(std::binary_search(c.begin(), c.end(), last));
+    }
+
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      QueryGenOptions query_options;
+      query_options.num_vertices = 5 + static_cast<uint32_t>(seed);
+      query_options.sparse = (seed % 2 == 0);
+      query_options.seed = seed * 31 + num_vertices;
+      ExpectBuilderMatchesReference(builder, GenerateQuery(g, query_options),
+                                    g, "seed " + std::to_string(seed));
+    }
+  }
+}
+
+// Hubs whose label runs straddle the 32:1 cutover, so both the counting
+// scan and the galloped kernel branch run in refinement, generation rounds
+// and the adjacency build. Labels A=0, B=1, C=2; ids: B 0..1099, C
+// 1100..1109, hubs (A) 1110..1114, so |V| = 1115 and the last hub is
+// vertex |V|-1. B vertices 0..9 are "specials", each with one C neighbor,
+// so the queries below keep exactly the 10 specials as B candidates. Each
+// hub has a B run of `run`: its specials [first, end) padded with
+// non-special B vertices; and it reaches every C vertex. Runs of 10, 200
+// and 320 are scanned, runs of 321 and 1000 (more than 32 x 10) galloped;
+// specials 5..9 are reached only through the galloped runs.
+TEST(CpiReferenceTest, HubRunsOnBothSidesOfGallopCutover) {
+  struct Hub {
+    uint32_t run, first, end;
+  };
+  constexpr Hub kHubs[] = {
+      {10, 0, 5}, {200, 0, 5}, {320, 0, 5}, {321, 5, 8}, {1000, 8, 10}};
+  constexpr uint32_t kB = 1100, kC = 10;
+  const uint32_t n = kB + kC + std::size(kHubs);
+  GraphBuilder b(n);
+  for (VertexId v = 0; v < n; ++v) {
+    b.SetLabel(v, v < kB ? 1 : v < kB + kC ? 2 : 0);
+  }
+  for (VertexId i = 0; i < kC; ++i) b.AddEdge(i, kB + i);
+  VertexId hub = kB + kC;
+  for (const Hub& h : kHubs) {
+    for (VertexId v = h.first; v < h.end; ++v) b.AddEdge(hub, v);
+    for (VertexId v = kC; v < kC + h.run - (h.end - h.first); ++v) {
+      b.AddEdge(hub, v);
+    }
+    for (VertexId c = kB; c < kB + kC; ++c) b.AddEdge(hub, c);
+    ++hub;
+  }
+  const Graph g = std::move(b).Build();
+  CpiBuilder builder(g);
+
+  // Path A-B-C, triangle A-B-C, and square A-B-C-B.
+  const Graph path = MakeGraph({0, 1, 2}, {{0, 1}, {1, 2}});
+  const Graph triangle = MakeGraph({0, 1, 2}, {{0, 1}, {1, 2}, {2, 0}});
+  const Graph square =
+      MakeGraph({0, 1, 2, 1}, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
+  ExpectBuilderMatchesReference(builder, path, g, "path");
+  ExpectBuilderMatchesReference(builder, triangle, g, "triangle");
+  ExpectBuilderMatchesReference(builder, square, g, "square");
+
+  // The premise of the test: refined B candidates are the 10 specials.
+  const Cpi cpi = builder.Build(path, BuildBfsTree(path, 2));
+  EXPECT_EQ(ToVec(cpi.Candidates(1)),
+            (std::vector<VertexId>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(ToVec(cpi.Candidates(0)).back(), n - 1);
 }
 
 }  // namespace

@@ -208,6 +208,11 @@ TEST(GraphDeltaTest, RejectsInvalidOps) {
   EXPECT_FALSE(delta.RemoveVertex(1));   // already tombstoned
   EXPECT_FALSE(delta.RemoveEdge(1, 2));  // vanished with the vertex
 
+  // UINT32_MAX is not a label (it would wrap the fold's label count to 0),
+  // and a rejected add consumes no id.
+  EXPECT_FALSE(delta.AddVertex(static_cast<Label>(-1)));
+  EXPECT_NE(delta.error().find("label"), std::string::npos) << delta.error();
+
   VertexId id = kInvalidVertex;
   ASSERT_TRUE(delta.AddVertex(7, &id));
   EXPECT_EQ(id, 3u);  // new ids start at base n

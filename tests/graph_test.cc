@@ -207,6 +207,22 @@ TEST(GraphTest, OutOfRangeEdgeThrows) {
   EXPECT_THROW(b.AddEdge(0, 5), std::out_of_range);
 }
 
+// Regression: the label count max(l + 1) wrapped to 0 for label UINT32_MAX,
+// so every label-indexed array was empty and then indexed out of bounds.
+TEST(GraphTest, LabelUint32MaxIsRejected) {
+  EXPECT_EQ(LabelCountCovering(0), 1u);
+  EXPECT_EQ(LabelCountCovering(kMaxLabel), static_cast<uint32_t>(-1));
+  EXPECT_THROW(LabelCountCovering(static_cast<Label>(-1)),
+               std::invalid_argument);
+
+  GraphBuilder b(3);
+  b.SetLabel(0, 1);
+  b.SetLabel(2, static_cast<Label>(-1));
+  b.AddEdge(0, 1);
+  b.AddEdge(1, 2);
+  EXPECT_THROW(std::move(b).Build(), std::invalid_argument);
+}
+
 TEST(GraphMultiplicityTest, EffectiveDegreesAndSelfLoops) {
   // Hypervertex 0 stands for 3 mutually-adjacent originals (clique class,
   // self-loop); vertex 1 stands for 2 originals adjacent to all of them.
@@ -302,6 +318,13 @@ TEST(GraphIoTest, MalformedInputs) {
   {
     std::stringstream ss("");
     EXPECT_THROW(ReadGraph(ss), std::runtime_error);
+  }
+  // Label UINT32_MAX, written out or as -1 (which reads as 2^64-1 and
+  // narrows to it): both used to crash the reader's caller.
+  for (const char* text : {"t 2 1\nv 0 4294967295\nv 1 0\ne 0 1\n",
+                           "t 2 1\nv 0 0\nv 1 -1\ne 0 1\n"}) {
+    std::stringstream ss(text);
+    EXPECT_THROW(ReadGraph(ss), std::invalid_argument) << text;
   }
 }
 

@@ -775,7 +775,8 @@ TEST(QueryServerTest, ZeroVertexQueryGetsErrAndServerStaysUp) {
   for (const char* mode : {"count", "stream"}) {
     ASSERT_TRUE(conn.Send(std::string("QUERY mode=") + mode + "\nt 0 0\nEND\n"));
     ASSERT_TRUE(conn.ReadLine(&line)) << mode;
-    EXPECT_EQ(line.rfind("ERR ", 0), 0u) << mode << ": " << line;
+    EXPECT_EQ(line.rfind("ERR bad query graph: ", 0), 0u) << mode << ": "
+                                                            << line;
     EXPECT_NE(line.find("no vertices"), std::string::npos) << line;
   }
 
@@ -787,6 +788,68 @@ TEST(QueryServerTest, ZeroVertexQueryGetsErrAndServerStaysUp) {
   ASSERT_TRUE(fresh.Send("PING\n"));
   ASSERT_TRUE(fresh.ReadLine(&line));
   EXPECT_EQ(line, "PONG");
+}
+
+// A disconnected query is rejected by Prepare (BuildBfsTree): a client
+// error, not an internal one.
+TEST(QueryServerTest, DisconnectedQueryGetsBadQueryGraphErr) {
+  Graph data = Figure3Data();
+  serve::ServeOptions options;
+  options.socket_path = TestSocketPath("disconnected");
+  options.workers = 2;
+  ServerFixture fixture(data, options);
+  RawConn conn(fixture.socket_path());
+  ASSERT_TRUE(conn.ok());
+
+  std::string line;
+  for (const char* mode : {"count", "stream"}) {
+    ASSERT_TRUE(conn.Send(std::string("QUERY mode=") + mode +
+                          "\nt 4 2\nv 0 0\nv 1 1\nv 2 0\nv 3 1\n"
+                          "e 0 1\ne 2 3\nEND\n"));
+    ASSERT_TRUE(conn.ReadLine(&line)) << mode;
+    EXPECT_EQ(line.rfind("ERR bad query graph: ", 0), 0u) << mode << ": "
+                                                            << line;
+    EXPECT_NE(line.find("disconnected"), std::string::npos) << line;
+  }
+  ASSERT_TRUE(conn.Send("PING\n"));
+  ASSERT_TRUE(conn.ReadLine(&line));
+  EXPECT_EQ(line, "PONG");
+}
+
+// Regression: label 4294967295 wrapped the label count to 0 and segfaulted
+// the server, in a QUERY and in an UPDATE alike.
+TEST(QueryServerTest, LabelUint32MaxGetsErrAndServerStaysUp) {
+  Graph data = Figure3Data();
+  serve::ServeOptions options;
+  options.socket_path = TestSocketPath("maxlabel");
+  options.workers = 2;
+  ServerFixture fixture(data, options);
+  RawConn conn(fixture.socket_path());
+  ASSERT_TRUE(conn.ok());
+
+  std::string line;
+  for (const char* label : {"4294967295", "-1"}) {
+    ASSERT_TRUE(conn.Send(std::string("QUERY mode=count\nt 2 1\nv 0 0\nv 1 ") +
+                          label + "\ne 0 1\nEND\n"));
+    ASSERT_TRUE(conn.ReadLine(&line)) << label;
+    EXPECT_EQ(line.rfind("ERR bad query graph: ", 0), 0u) << line;
+    ASSERT_TRUE(conn.Send("PING\n"));
+    ASSERT_TRUE(conn.ReadLine(&line));
+    EXPECT_EQ(line, "PONG");
+  }
+
+  ASSERT_TRUE(conn.Send("UPDATE\nav 4294967295\nEND\n"));
+  ASSERT_TRUE(conn.ReadLine(&line));
+  EXPECT_EQ(line.rfind("ERR update rejected: ", 0), 0u) << line;
+  ASSERT_TRUE(conn.Send("PING\n"));
+  ASSERT_TRUE(conn.ReadLine(&line));
+  EXPECT_EQ(line, "PONG");
+
+  // Nothing of the rejected batch was applied: a valid batch commits as
+  // the first epoch after the initial one.
+  ASSERT_TRUE(conn.Send("UPDATE\nav 0\nEND\n"));
+  ASSERT_TRUE(conn.ReadLine(&line));
+  EXPECT_EQ(line.rfind("UPDATED epoch=1 added_vertices=1 ", 0), 0u) << line;
 }
 
 TEST(QueryServerTest, OversizeRequestLineGetsErrNotUnboundedBuffering) {
