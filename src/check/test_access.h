@@ -40,6 +40,9 @@ struct GraphTestAccess {
   static std::vector<uint64_t>& LabelFrequency(Graph& g) {
     return g.label_frequency_;
   }
+  static std::vector<uint32_t>& LabelDegrees(Graph& g) {
+    return g.label_degrees_;
+  }
   static std::vector<Graph::LabelCount>& Nlf(Graph& g) { return g.nlf_; }
   static std::vector<uint32_t>& Mnd(Graph& g) { return g.mnd_; }
   static uint64_t& NumEdges(Graph& g) { return g.num_edges_; }
@@ -86,13 +89,13 @@ struct CpiTestAccess {
 };
 
 struct CpiBuilderTestAccess {
-  // The counting scratch (cpi_builder.h), which every Build must leave
-  // all-zero.
+  // The counting scratch (cpi_builder.h) of the thread that constructed
+  // `b`, sized to b's data graph, which every Build must leave all-zero.
   static const std::vector<uint32_t>& Counts(const CpiBuilder& b) {
-    return b.cnt_;
+    return b.s_.cnt;
   }
   static const std::vector<uint64_t>& SeenBits(const CpiBuilder& b) {
-    return b.seen_;
+    return b.s_.seen;
   }
 };
 

@@ -195,6 +195,17 @@ ValidationResult ValidateGraph(const Graph& g) {
       return Fail("graph: LabelFrequency(", l, ") = ", g.LabelFrequency(l),
                   " but members' multiplicities sum to ", freq);
     }
+    // Label-degree list: the members' effective degrees, ascending.
+    std::vector<uint32_t> degrees;
+    degrees.reserve(vs.size());
+    for (VertexId v : vs) degrees.push_back(g.degree(v));
+    std::sort(degrees.begin(), degrees.end());
+    std::span<const uint32_t> listed = g.LabelDegrees(l);
+    if (!std::equal(listed.begin(), listed.end(), degrees.begin(),
+                    degrees.end())) {
+      return Fail("graph: LabelDegrees(", l,
+                  ") is not the members' degrees in ascending order");
+    }
   }
   if (indexed != n) {
     return Fail("graph: label index covers ", indexed, " of ", n,

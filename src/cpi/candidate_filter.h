@@ -11,14 +11,13 @@
 //
 // `CandVerify` is filters 3+4 (Algorithm 6); callers apply 1+2 while
 // scanning. `LabelDegreeIndex` answers "how many data vertices have label l
-// and degree >= d" in O(log), which root selection (A.6) uses to estimate
-// candidate counts cheaply.
+// and degree >= d" in O(log) from the graph's own label-degree lists, which
+// root selection (A.6) uses to estimate candidate counts cheaply.
 
 #ifndef CFL_CPI_CANDIDATE_FILTER_H_
 #define CFL_CPI_CANDIDATE_FILTER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/graph.h"
 
@@ -43,17 +42,18 @@ inline bool LabelDegreeFilter(const Graph& q, VertexId u, const Graph& data,
          data.degree(v) >= q.StructuralDegree(u);
 }
 
-// Per-label sorted degree lists over a data graph; build once per data
-// graph, reuse across queries.
+// Non-owning view of the data graph's per-label ascending degree lists
+// (Graph::LabelDegrees), which the graph builds with itself; constructing
+// one is O(1) and copies nothing.
 class LabelDegreeIndex {
  public:
-  explicit LabelDegreeIndex(const Graph& data);
+  explicit LabelDegreeIndex(const Graph& data) : data_(data) {}
 
   // Number of data vertices with label `l` and effective degree >= `min_degree`.
   uint64_t CountAtLeast(Label l, uint32_t min_degree) const;
 
  private:
-  std::vector<std::vector<uint32_t>> degrees_by_label_;  // each sorted asc
+  const Graph& data_;
 };
 
 }  // namespace cfl

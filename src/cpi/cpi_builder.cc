@@ -13,45 +13,55 @@
 namespace cfl {
 
 CpiBuilder::CpiBuilder(const Graph& data)
-    : data_(data),
-      cnt_(data.NumVertices(), 0),
-      seen_((data.NumVertices() + 63) / 64, 0) {}
+    : data_(data), s_(ThreadScratch()) {
+  FitScratch();
+}
+
+CpiBuilder::Scratch& CpiBuilder::ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
+void CpiBuilder::FitScratch() {
+  s_.cnt.resize(data_.NumVertices());
+  s_.seen.resize((data_.NumVertices() + 63) / 64);
+}
 
 void CpiBuilder::RefineRounds(const Label label,
                               const std::vector<VertexId>& against,
                               size_t first) {
   // Rounds over `against[first..]` of the counting intersection (Algorithm 3
   // lines 6-14 / Lemma 5.1): v survives a round iff some vprime in
-  // cand_[uprime] has v in its label run. Survivors sit at `mark`; a scan of
+  // s_.cand[uprime] has v in its label run. Survivors sit at `mark`; a scan of
   // each run promotes them to mark+1, so a vertex reached through several
   // vprime runs is promoted once, and one that missed an earlier round (reset
   // to 0 by the filter) can never match a later mark. The in-place filter
-  // keeps surv_ sorted.
+  // keeps s_.surv sorted.
   uint32_t mark = 1;
-  for (VertexId v : surv_) cnt_[v] = mark;
-  for (size_t a = first; a < against.size() && !surv_.empty(); ++a, ++mark) {
+  for (VertexId v : s_.surv) s_.cnt[v] = mark;
+  for (size_t a = first; a < against.size() && !s_.surv.empty(); ++a, ++mark) {
     const auto promote = [this, mark](VertexId v) {
-      if (cnt_[v] == mark) cnt_[v] = mark + 1;
+      if (s_.cnt[v] == mark) s_.cnt[v] = mark + 1;
     };
-    for (VertexId vprime : cand_[against[a]]) {
+    for (VertexId vprime : s_.cand[against[a]]) {
       std::span<const VertexId> run = data_.NeighborsWithLabel(vprime, label);
-      if (run.size() > surv_.size() * kernels::kGallopRatio) {
+      if (run.size() > s_.surv.size() * kernels::kGallopRatio) {
         // Hub run: gallop the short survivor list through it rather than
         // scan it; the matches are survivors, so the marks are the same.
-        isect_.clear();
-        kernels::IntersectSorted(run, surv_, isect_);
-        for (VertexId v : isect_) promote(v);
+        s_.isect.clear();
+        kernels::IntersectSorted(run, s_.surv, s_.isect);
+        for (VertexId v : s_.isect) promote(v);
       } else {
         for (VertexId v : run) promote(v);
       }
     }
-    std::erase_if(surv_, [this, mark](VertexId v) {
-      if (cnt_[v] == mark + 1) return false;
-      cnt_[v] = 0;
+    std::erase_if(s_.surv, [this, mark](VertexId v) {
+      if (s_.cnt[v] == mark + 1) return false;
+      s_.cnt[v] = 0;
       return true;
     });
   }
-  for (VertexId v : surv_) cnt_[v] = 0;
+  for (VertexId v : s_.surv) s_.cnt[v] = 0;
 }
 
 void CpiBuilder::GenerateCandidates(const Graph& q, VertexId u,
@@ -61,7 +71,7 @@ void CpiBuilder::GenerateCandidates(const Graph& q, VertexId u,
       << " with no visited neighbors; BFS guarantees a visited parent";
   // Round 0 seeds the survivor set with a counting scan: only data vertices
   // with u's label can survive, so each candidate's neighborhood is scanned
-  // through its label run alone (the label filter is implied). seen_
+  // through its label run alone (the label filter is implied). s_.seen
   // dedupes the seeds; runs ascend by id, so the words [lo, hi) they touched
   // are known from their ends, and scanning those words emits the seed set
   // in ascending order (and clears them). The degree filter runs once per
@@ -71,44 +81,44 @@ void CpiBuilder::GenerateCandidates(const Graph& q, VertexId u,
   // much larger data graphs.
   const Label label = q.label(u);
   const uint32_t min_degree = q.StructuralDegree(u);
-  size_t lo = seen_.size();
+  size_t lo = s_.seen.size();
   size_t hi = 0;
-  for (VertexId vprime : cand_[against.front()]) {
+  for (VertexId vprime : s_.cand[against.front()]) {
     std::span<const VertexId> run = data_.NeighborsWithLabel(vprime, label);
     if (run.empty()) continue;
     lo = std::min<size_t>(lo, run.front() >> 6);
     hi = std::max<size_t>(hi, (run.back() >> 6) + 1);
-    for (VertexId v : run) seen_[v >> 6] |= uint64_t{1} << (v & 63);
+    for (VertexId v : run) s_.seen[v >> 6] |= uint64_t{1} << (v & 63);
   }
-  surv_.clear();
+  s_.surv.clear();
   for (size_t w = lo; w < hi; ++w) {
-    for (uint64_t bits = seen_[w]; bits != 0; bits &= bits - 1) {
+    for (uint64_t bits = s_.seen[w]; bits != 0; bits &= bits - 1) {
       const auto v = static_cast<VertexId>(w * 64 + std::countr_zero(bits));
-      if (data_.degree(v) >= min_degree) surv_.push_back(v);
+      if (data_.degree(v) >= min_degree) s_.surv.push_back(v);
     }
-    seen_[w] = 0;
+    s_.seen[w] = 0;
   }
 
   RefineRounds(label, against, /*first=*/1);
 
-  std::vector<VertexId>& out = cand_[u];
+  std::vector<VertexId>& out = s_.cand[u];
   out.clear();
-  for (VertexId v : surv_) {
+  for (VertexId v : s_.surv) {
     if (CandVerify(q, u, data_, v)) out.push_back(v);
   }
 }
 
 void CpiBuilder::RefineCandidates(VertexId u,
                                   const std::vector<VertexId>& against) {
-  if (against.empty() || cand_[u].empty()) return;
+  if (against.empty() || s_.cand[u].empty()) return;
   // All candidates of u share u's label, so the rounds below only need that
   // one label run of each vprime. Keep only candidates that survive every
   // round (Algorithm 3 lines 21-22 / Algorithm 4 lines 5-6).
-  std::vector<VertexId>& c = cand_[u];
+  std::vector<VertexId>& c = s_.cand[u];
   const Label label = data_.label(c.front());
-  surv_ = c;
+  s_.surv = c;
   RefineRounds(label, against, /*first=*/0);
-  c = surv_;
+  c = s_.surv;
 }
 
 void CpiBuilder::TopDownConstruct(const Graph& q, const BfsTree& tree) {
@@ -119,10 +129,10 @@ void CpiBuilder::TopDownConstruct(const Graph& q, const BfsTree& tree) {
   const VertexId r = tree.root;
   for (VertexId v : data_.VerticesWithLabel(q.label(r))) {
     if (data_.degree(v) >= q.StructuralDegree(r) && CandVerify(q, r, data_, v)) {
-      cand_[r].push_back(v);
+      s_.cand[r].push_back(v);
     }
   }
-  CFL_STATS_ONLY(if (stats_) stats_->generated[r] = cand_[r].size();)
+  CFL_STATS_ONLY(if (stats_) stats_->generated[r] = s_.cand[r].size();)
   visited[r] = true;
 
   std::vector<std::vector<VertexId>> unvisited_same_level(n);
@@ -131,27 +141,28 @@ void CpiBuilder::TopDownConstruct(const Graph& q, const BfsTree& tree) {
 
     // Forward candidate generation (lines 5-17).
     for (VertexId u : level) {
-      vis_.clear();  // u.N: visited query neighbors
+      s_.vis.clear();  // u.N: visited query neighbors
       for (VertexId uprime : q.Neighbors(u)) {
         if (visited[uprime]) {
-          vis_.push_back(uprime);
+          s_.vis.push_back(uprime);
         } else if (tree.level[uprime] == tree.level[u]) {
           // S-NTE to a not-yet-visited same-level vertex; recorded for the
           // backward pass (u.UN).
           unvisited_same_level[u].push_back(uprime);
         }
       }
-      GenerateCandidates(q, u, vis_);
-      CFL_STATS_ONLY(if (stats_) stats_->generated[u] = cand_[u].size();)
+      GenerateCandidates(q, u, s_.vis);
+      CFL_STATS_ONLY(if (stats_) stats_->generated[u] = s_.cand[u].size();)
       visited[u] = true;
     }
 
     // Backward candidate pruning (lines 18-23), reverse order within level.
     for (auto it = level.rbegin(); it != level.rend(); ++it) {
-      CFL_STATS_ONLY(const size_t before = cand_[*it].size();)
+      CFL_STATS_ONLY(const size_t before = s_.cand[*it].size();)
       RefineCandidates(*it, unvisited_same_level[*it]);
-      CFL_STATS_ONLY(
-          if (stats_) stats_->pruned_backward[*it] = before - cand_[*it].size();)
+      CFL_STATS_ONLY(if (stats_) {
+        stats_->pruned_backward[*it] = before - s_.cand[*it].size();
+      })
     }
   }
 }
@@ -162,19 +173,19 @@ void CpiBuilder::BottomUpRefine(const Graph& q, const BfsTree& tree) {
   // children and downward C-NTEs alike (Algorithm 4).
   for (auto it = tree.order.rbegin(); it != tree.order.rend(); ++it) {
     VertexId u = *it;
-    lower_.clear();
+    s_.lower.clear();
     for (VertexId uprime : q.Neighbors(u)) {
-      if (tree.level[uprime] == tree.level[u] + 1) lower_.push_back(uprime);
+      if (tree.level[uprime] == tree.level[u] + 1) s_.lower.push_back(uprime);
     }
-    CFL_STATS_ONLY(const size_t before = cand_[u].size();)
-    RefineCandidates(u, lower_);
+    CFL_STATS_ONLY(const size_t before = s_.cand[u].size();)
+    RefineCandidates(u, s_.lower);
     CFL_STATS_ONLY(
-        if (stats_) stats_->pruned_bottomup[u] = before - cand_[u].size();)
+        if (stats_) stats_->pruned_bottomup[u] = before - s_.cand[u].size();)
   }
 }
 
 void CpiBuilder::BuildAdjacency(const BfsTree& tree, Cpi* cpi) {
-  const uint32_t n = CheckedU32(cand_.size());
+  const uint32_t n = CheckedU32(s_.cand.size());
 
   // Arena layout: vertices in ascending id order so the start tables are
   // monotone; each non-root u contributes |u.p.C|+1 relative offsets and
@@ -188,8 +199,8 @@ void CpiBuilder::BuildAdjacency(const BfsTree& tree, Cpi* cpi) {
   for (VertexId u = 0; u < n; ++u) {
     if (u != tree.root) {
       const VertexId p = tree.parent[u];
-      const std::vector<VertexId>& child_cands = cand_[u];
-      const std::vector<VertexId>& parent_cands = cand_[p];
+      const std::vector<VertexId>& child_cands = s_.cand[u];
+      const std::vector<VertexId>& parent_cands = s_.cand[p];
       const uint64_t entry_base = cpi->adj_entry_arena_.size();
 
       // All child candidates share one label, so only that run of each
@@ -199,12 +210,12 @@ void CpiBuilder::BuildAdjacency(const BfsTree& tree, Cpi* cpi) {
           child_cands.empty() ? 0 : data_.label(child_cands.front());
 
       // N_u^{p}(vp) = run ∩ child_cands as positions into the (sorted)
-      // candidate list: cnt_ holds position+1 for each child candidate, so a
+      // candidate list: s_.cnt holds position+1 for each child candidate, so a
       // scan of vp's run emits the positions in run order — ascending, since
       // both sides ascend by id. A hub run gallops the candidates through
       // it instead (IntersectPositions: same positions, same order).
       for (uint32_t i = 0; i < child_cands.size(); ++i) {
-        cnt_[child_cands[i]] = i + 1;
+        s_.cnt[child_cands[i]] = i + 1;
       }
       std::vector<uint32_t>& entries = cpi->adj_entry_arena_;
       cpi->adj_off_arena_.push_back(0);
@@ -215,25 +226,29 @@ void CpiBuilder::BuildAdjacency(const BfsTree& tree, Cpi* cpi) {
             kernels::IntersectPositions(run, child_cands, entries);
           } else {
             for (VertexId v : run) {
-              if (cnt_[v] != 0) entries.push_back(cnt_[v] - 1);
+              if (s_.cnt[v] != 0) entries.push_back(s_.cnt[v] - 1);
             }
           }
         }
         cpi->adj_off_arena_.push_back(
             CheckedU32(entries.size() - entry_base));
       }
-      for (VertexId v : child_cands) cnt_[v] = 0;
+      for (VertexId v : child_cands) s_.cnt[v] = 0;
     }
     cpi->adj_off_start_[u + 1] = cpi->adj_off_arena_.size();
     cpi->adj_entry_start_[u + 1] = cpi->adj_entry_arena_.size();
   }
 }
 
+// A function-try-block: a Build that throws (allocation failure) may leave
+// marks in the thread's counting scratch, so the handler zeroes it before
+// rethrowing and the thread's next Build still starts from all-zero.
 Cpi CpiBuilder::Build(const Graph& q, const BfsTree& tree,
                       CpiStrategy strategy,
-                      [[maybe_unused]] CpiBuildStats* stats) {
+                      [[maybe_unused]] CpiBuildStats* stats) try {
   const uint32_t n = q.NumVertices();
-  cand_.assign(n, {});
+  FitScratch();
+  s_.cand.assign(n, {});
   stats_ = nullptr;
   CFL_STATS_ONLY(stats_ = stats;
                  if (stats_) {
@@ -247,8 +262,8 @@ Cpi CpiBuilder::Build(const Graph& q, const BfsTree& tree,
     // Section 4.1's naive sound CPI: candidates by label only.
     for (VertexId u = 0; u < n; ++u) {
       std::span<const VertexId> vs = data_.VerticesWithLabel(q.label(u));
-      cand_[u].assign(vs.begin(), vs.end());
-      CFL_STATS_ONLY(if (stats_) stats_->generated[u] = cand_[u].size();)
+      s_.cand[u].assign(vs.begin(), vs.end());
+      CFL_STATS_ONLY(if (stats_) stats_->generated[u] = s_.cand[u].size();)
     }
     CFL_STATS_ONLY(if (stats_) stats_->top_down_seconds = timer.Lap();)
   } else {
@@ -268,16 +283,21 @@ Cpi CpiBuilder::Build(const Graph& q, const BfsTree& tree,
   // Flatten the per-vertex candidate sets into the arena.
   cpi.cand_offsets_.assign(n + 1, 0);
   for (VertexId u = 0; u < n; ++u) {
-    cpi.cand_offsets_[u + 1] = cpi.cand_offsets_[u] + cand_[u].size();
+    cpi.cand_offsets_[u + 1] = cpi.cand_offsets_[u] + s_.cand[u].size();
   }
   cpi.cand_arena_.reserve(cpi.cand_offsets_[n]);
   for (VertexId u = 0; u < n; ++u) {
-    cpi.cand_arena_.insert(cpi.cand_arena_.end(), cand_[u].begin(),
-                           cand_[u].end());
+    cpi.cand_arena_.insert(cpi.cand_arena_.end(), s_.cand[u].begin(),
+                           s_.cand[u].end());
   }
   CFL_STATS_ONLY(if (stats_) stats_->adjacency_seconds = timer.Lap();)
   stats_ = nullptr;
   return cpi;
+} catch (...) {
+  std::fill(s_.cnt.begin(), s_.cnt.end(), 0);
+  std::fill(s_.seen.begin(), s_.seen.end(), 0);
+  stats_ = nullptr;
+  throw;
 }
 
 Cpi BuildCpi(const Graph& q, const Graph& data, const BfsTree& tree,

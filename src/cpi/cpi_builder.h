@@ -44,8 +44,11 @@ enum class CpiStrategy {
   kRefined,
 };
 
-// Reusable builder: scratch arrays are sized to the data graph once and
-// reused across queries (CFL-Match processes query sets of 100).
+// A builder is the data graph plus a handle on the calling thread's
+// scratch (below), so constructing one allocates nothing once that scratch
+// has grown to the graph, and Build is re-entrant across threads: any
+// number of threads may build against one graph at once, each through its
+// own builder. A builder must be used on the thread that constructed it.
 class CpiBuilder {
  public:
   explicit CpiBuilder(const Graph& data);
@@ -63,52 +66,63 @@ class CpiBuilder {
             CpiBuildStats* stats = nullptr);
 
  private:
-  // Candidate-set generation passes; all operate on cand_ (per query vertex).
+  // Candidate-set generation passes; all operate on s_.cand (per query vertex).
   void TopDownConstruct(const Graph& q, const BfsTree& tree);
   void BottomUpRefine(const Graph& q, const BfsTree& tree);
 
   // Counting primitive (Lemma 5.1): filters the data vertices that have a
-  // neighbor in cand_[u'] for every u' in `against`, optionally seeding from
+  // neighbor in s_.cand[u'] for every u' in `against`, optionally seeding from
   // scratch (generate) or filtering an existing set (refine).
   void GenerateCandidates(const Graph& q, VertexId u,
                           const std::vector<VertexId>& against);
   void RefineCandidates(VertexId u, const std::vector<VertexId>& against);
 
   // Shared round loop of the two passes above: filters the sorted survivor
-  // list surv_ against cand_[against[first..]] one counting pass per round.
-  // Every survivor starts at mark 1 in cnt_; round k scans the label run of
+  // list s_.surv against s_.cand[against[first..]] one counting pass per round.
+  // Every survivor starts at mark 1 in s_.cnt; round k scans the label run of
   // each vprime and promotes v from mark k to k+1, so after the round exactly
   // the vertices at k+1 survive. A run more than kernels::kGallopRatio times
-  // longer than surv_ is galloped through the kernel layer instead of
-  // scanned (same marks). Returns cnt_ to all-zero.
+  // longer than s_.surv is galloped through the kernel layer instead of
+  // scanned (same marks). Returns s_.cnt to all-zero.
   void RefineRounds(Label label, const std::vector<VertexId>& against,
                     size_t first);
 
-  // Position lists of §A.2 by counting: cnt_ holds position+1 for each child
+  // Position lists of §A.2 by counting: s_.cnt holds position+1 for each child
   // candidate while each parent candidate's label run is scanned.
   void BuildAdjacency(const BfsTree& tree, Cpi* cpi);
 
   friend struct CpiBuilderTestAccess;  // check/test_access.h
 
+  // Per-thread scratch, reused by every Build on the thread whatever the
+  // data graph. cnt and seen are the counting scratch, sized to |V(G)| of
+  // the graph in hand: cnt carries the per-vertex round marks of
+  // RefineRounds and the position+1 labels of BuildAdjacency; seen is the
+  // |V(G)|-bit seed-set bitset of GenerateCandidates, emitted in ascending
+  // id order. Both are all-zero between Builds (each pass clears exactly
+  // what it set, and a Build that throws zeroes them), which is what lets
+  // FitScratch move them from one graph to another by resizing alone. The
+  // rest are per-query buffers, cleared before use.
+  struct Scratch {
+    std::vector<std::vector<VertexId>> cand;  // candidate set per query vertex
+    std::vector<uint32_t> cnt;
+    std::vector<uint64_t> seen;
+    std::vector<VertexId> vis;    // TopDownConstruct: visited query neighbors
+    std::vector<VertexId> lower;  // BottomUpRefine: lower-level neighbors
+    std::vector<VertexId> surv;   // RefineRounds: sorted survivor list
+    std::vector<VertexId> isect;  // RefineRounds: galloped hub-run matches
+  };
+  static Scratch& ThreadScratch();
+
+  // Sizes s_.cnt and s_.seen to data_ (still all-zero: resizing drops or
+  // appends zeros). Another builder on this thread may have resized them
+  // for another graph since this one was made, so every Build calls it.
+  void FitScratch();
+
   const Graph& data_;
-  std::vector<std::vector<VertexId>> cand_;
+  Scratch& s_;  // ThreadScratch() of the constructing thread
 
   // Stats sink for the Build in flight; null when the caller passed none.
   CpiBuildStats* stats_ = nullptr;
-
-  // Counting scratch, |V(G)|-sized, allocated once and all-zero between
-  // passes (each pass clears exactly what it set): cnt_ carries the
-  // per-vertex round marks of RefineRounds and the position+1 labels of
-  // BuildAdjacency; seen_ is the |V(G)|-bit seed-set bitset of
-  // GenerateCandidates, emitted in ascending id order.
-  std::vector<uint32_t> cnt_;
-  std::vector<uint64_t> seen_;
-
-  // Small reused buffers (cleared per query vertex, allocated once).
-  std::vector<VertexId> vis_;    // TopDownConstruct: visited query neighbors
-  std::vector<VertexId> lower_;  // BottomUpRefine: lower-level neighbors
-  std::vector<VertexId> surv_;   // RefineRounds: sorted survivor list
-  std::vector<VertexId> isect_;  // RefineRounds: galloped hub-run matches
 };
 
 // One-shot convenience wrapper.

@@ -36,7 +36,7 @@ Epoch DynamicGraph::CurrentEpoch() { return epochs_.current(); }
 
 std::optional<std::string> DynamicGraph::Apply(
     GraphDelta&& delta, ApplyResult* result,
-    const std::function<void(const DirtyLabels&)>& on_commit) {
+    const std::function<void(const DirtyLabels&, Epoch)>& on_commit) {
   delta.Seal();
   bool schedule = false;
   {
@@ -75,7 +75,7 @@ std::optional<std::string> DynamicGraph::Apply(
     }
     RetireDrainedLocked();
 
-    if (on_commit != nullptr) on_commit(dirty);
+    if (on_commit != nullptr) on_commit(dirty, committed);
     if (result != nullptr) {
       result->epoch = committed;
       result->dirty = std::move(dirty);

@@ -27,9 +27,10 @@
 // off-lock, and installs the rebuild only if the epoch did not advance
 // mid-rebuild (otherwise the work is abandoned and recounted).
 //
-// Lock hierarchy (DESIGN.md §9): mu_ is level 22 — above serve's
-// prepare_mu_ (20), below EpochManager's (24), so Apply's
-// prepare -> graph -> pin chain ascends.
+// Lock hierarchy (DESIGN.md §9): mu_ is level 22, the lowest level in the
+// process — below EpochManager's (24) and the plan cache's (30), so
+// Apply's graph -> pin and graph -> cache (commit hook) chains ascend.
+// Callers hold no lock when they call in.
 
 #ifndef CFL_DYN_DYNAMIC_GRAPH_H_
 #define CFL_DYN_DYNAMIC_GRAPH_H_
@@ -125,16 +126,18 @@ class DynamicGraph {
   // the current epoch.
   //
   // `on_commit`, when given, runs *inside* the commit's critical section,
-  // after the new epoch exists but before any Acquire can observe it. The
-  // serve layer invalidates its plan cache here: a query that later pins
-  // the new epoch can then never hit a plan the batch dirtied (invalidation
-  // strictly precedes visibility). The callback must not call back into
-  // this DynamicGraph and may only take locks above level 22 (the plan
-  // cache's 30 qualifies).
+  // after the new epoch exists but before any Acquire can observe it, with
+  // the batch's dirty labels and the new epoch. The serve layer invalidates
+  // its plan cache here: a query that later pins the new epoch can then
+  // never hit a plan the batch dirtied (invalidation strictly precedes
+  // visibility), and the cache refuses plans prepared before this epoch
+  // for those labels. The callback must not call back into this
+  // DynamicGraph and may only take locks above level 22 (the plan cache's
+  // 30 qualifies).
   std::optional<std::string> Apply(
       GraphDelta&& delta, ApplyResult* result = nullptr,
-      const std::function<void(const DirtyLabels&)>& on_commit = nullptr)
-      CFL_EXCLUDES(mu_);
+      const std::function<void(const DirtyLabels&, Epoch)>& on_commit =
+          nullptr) CFL_EXCLUDES(mu_);
 
   Epoch CurrentEpoch() CFL_EXCLUDES(mu_);
 

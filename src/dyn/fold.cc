@@ -76,26 +76,10 @@ class GraphFolder {
       g.effective_degree_[v] = g.StructuralDegree(v);
     }
 
-    // Label index: linear counting pass, exactly the builder's. Tombstoned
-    // vertices keep their entry (degree zero), matching a rebuild over the
-    // same vertex set.
-    g.label_offsets_.assign(g.num_labels_ + 1, 0);
-    g.label_frequency_.assign(g.num_labels_, 0);
-    for (uint32_t v = 0; v < n; ++v) {
-      g.label_offsets_[g.labels_[v] + 1]++;
-      g.label_frequency_[g.labels_[v]]++;
-    }
-    for (uint32_t l = 0; l < g.num_labels_; ++l) {
-      g.label_offsets_[l + 1] += g.label_offsets_[l];
-    }
-    g.label_vertices_.resize(n);
-    {
-      std::vector<uint64_t> cursor(g.label_offsets_.begin(),
-                                   g.label_offsets_.end() - 1);
-      for (uint32_t v = 0; v < n; ++v) {
-        g.label_vertices_[cursor[g.labels_[v]]++] = v;
-      }
-    }
+    // Label index and label-degree lists: the builder's linear counting
+    // passes (not worth diffing). Tombstoned vertices keep their entry
+    // (degree zero), matching a rebuild over the same vertex set.
+    g.BuildLabelIndex();
 
     // NLF runs: with unit counts these are the adjacency label runs with
     // run lengths, already computed above. Untouched vertices block-copy

@@ -13,8 +13,8 @@
 //   * max-neighbor-degree: touched vertices plus their new neighbors (a
 //     removed edge's far endpoint is itself touched, so that set covers
 //     every vertex whose neighborhood degrees moved),
-//   * label index: one linear counting pass (it is O(n) even in the
-//     builder; not worth diffing),
+//   * label index and per-label degree lists: the builder's linear
+//     counting passes (O(n) even in the builder; not worth diffing),
 //   * hub rows: membership re-derived by the builder's threshold-doubling
 //     scan over the new degrees, then each hub row is block-copied from the
 //     base and bit-patched with the delta mask (cleared for removed, set

@@ -1,8 +1,11 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace cfl {
 
@@ -25,6 +28,57 @@ uint32_t Graph::NeighborLabelCount(VertexId v, Label l) const {
   return it->count;
 }
 
+void Graph::BuildLabelIndex() {
+  const uint32_t n = NumVertices();
+
+  // Vertices grouped by label, then id: a counting pass over the labels.
+  label_offsets_.assign(num_labels_ + 1, 0);
+  label_frequency_.assign(num_labels_, 0);
+  for (uint32_t v = 0; v < n; ++v) {
+    label_offsets_[labels_[v] + 1]++;
+    label_frequency_[labels_[v]] += multiplicity(v);
+  }
+  for (uint32_t l = 0; l < num_labels_; ++l) {
+    label_offsets_[l + 1] += label_offsets_[l];
+  }
+  label_vertices_.resize(n);
+  std::vector<uint64_t> cursor(label_offsets_.begin(),
+                               label_offsets_.end() - 1);
+  for (uint32_t v = 0; v < n; ++v) label_vertices_[cursor[labels_[v]]++] = v;
+
+  // Per-label degree lists: bucket the vertices by degree, then scatter
+  // them by label over the same offsets; the scatter is stable, so each
+  // label's run ascends by degree. The buckets are digits of at most
+  // bit_width(n) bits (an LSD radix sort), so no count array exceeds 2n
+  // entries: a plain graph (degrees < n) takes one pass, and only a
+  // compressed graph, whose effective degrees can pass n, takes more.
+  uint32_t max_degree = 0;
+  for (uint32_t d : effective_degree_) max_degree = std::max(max_degree, d);
+  const int degree_bits = std::bit_width(max_degree);
+  const int digit_bits =
+      std::max(1, std::min(static_cast<int>(std::bit_width(n)), degree_bits));
+  const uint64_t mask = (uint64_t{1} << digit_bits) - 1;
+  std::vector<VertexId> order(n);
+  std::vector<VertexId> next(n);
+  std::vector<uint64_t> bucket;
+  std::iota(order.begin(), order.end(), VertexId{0});
+  for (int shift = 0; shift < degree_bits; shift += digit_bits) {
+    const auto digit = [&](VertexId v) {
+      return (effective_degree_[v] >> shift) & mask;
+    };
+    bucket.assign(mask + 2, 0);
+    for (VertexId v : order) bucket[digit(v) + 1]++;
+    for (uint64_t d = 0; d <= mask; ++d) bucket[d + 1] += bucket[d];
+    for (VertexId v : order) next[bucket[digit(v)]++] = v;
+    order.swap(next);
+  }
+  std::copy(label_offsets_.begin(), label_offsets_.end() - 1, cursor.begin());
+  label_degrees_.resize(n);
+  for (VertexId v : order) {
+    label_degrees_[cursor[labels_[v]]++] = effective_degree_[v];
+  }
+}
+
 uint64_t Graph::MemoryBytes() const {
   uint64_t bytes = 0;
   bytes += offsets_.capacity() * sizeof(uint64_t);
@@ -35,6 +89,7 @@ uint64_t Graph::MemoryBytes() const {
   bytes += label_offsets_.capacity() * sizeof(uint64_t);
   bytes += label_vertices_.capacity() * sizeof(VertexId);
   bytes += label_frequency_.capacity() * sizeof(uint64_t);
+  bytes += label_degrees_.capacity() * sizeof(uint32_t);
   bytes += run_offsets_.capacity() * sizeof(uint64_t);
   bytes += runs_.capacity() * sizeof(LabelRun);
   bytes += hub_index_.capacity() * sizeof(uint32_t);

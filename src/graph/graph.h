@@ -12,6 +12,8 @@
 //     see below), falling back to an O(log d) binary search inside the
 //     matching label run otherwise,
 //   * O(1) label lookup and candidate seeding via a label index,
+//   * O(log) "how many l-labeled vertices have degree >= d" counts for root
+//     selection (paper A.6) via per-label degree lists,
 //   * O(log L) neighbor-label-frequency (NLF) lookups for CandVerify
 //     (paper Algorithm 6),
 //   * O(1) max-neighbor-degree lookups (paper Lemma A.1).
@@ -173,6 +175,16 @@ class Graph {
     return l < num_labels_ ? label_frequency_[l] : 0;
   }
 
+  // Effective degrees of the vertices with label l, ascending: the same
+  // slice as VerticesWithLabel(l), ordered by degree instead of id. Root
+  // selection counts "label l, degree >= d" candidates with one binary
+  // search here (LabelDegreeIndex, cpi/candidate_filter.h).
+  std::span<const uint32_t> LabelDegrees(Label l) const {
+    if (l >= num_labels_) return {};
+    return {label_degrees_.data() + label_offsets_[l],
+            label_degrees_.data() + label_offsets_[l + 1]};
+  }
+
   // --- Filters' support structures ---------------------------------------
 
   // Number of (expanded) neighbors of v with label l; the paper's d(v, l)
@@ -248,6 +260,12 @@ class Graph {
 
   static constexpr uint32_t kNoHub = static_cast<uint32_t>(-1);
 
+  // Fills the label index (label_offsets_, label_vertices_,
+  // label_frequency_, label_degrees_) from labels_, num_labels_,
+  // multiplicity_ and effective_degree_, which must be final. Linear: no
+  // comparison sort. Shared by GraphBuilder::Build and the dyn fold.
+  void BuildLabelIndex();
+
   bool HubBit(uint32_t row, VertexId w) const {
     return (hub_bits_[row * hub_words_per_row_ + (w >> 6)] >>
             (w & 63)) & 1u;
@@ -268,6 +286,7 @@ class Graph {
   std::vector<uint64_t> label_offsets_;   // size num_labels+1
   std::vector<VertexId> label_vertices_;  // size n
   std::vector<uint64_t> label_frequency_; // size num_labels (multiplicities)
+  std::vector<uint32_t> label_degrees_;   // size n, sliced by label_offsets_
 
   // Per-vertex label-run index over `neighbors_`.
   std::vector<uint64_t> run_offsets_;  // size n+1

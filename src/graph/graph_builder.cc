@@ -124,24 +124,7 @@ Graph GraphBuilder::Build() && {
     g.effective_degree_[v] = static_cast<uint32_t>(d);
   }
 
-  // Label index, grouped by label then id.
-  g.label_offsets_.assign(g.num_labels_ + 1, 0);
-  g.label_frequency_.assign(g.num_labels_, 0);
-  for (uint32_t v = 0; v < n; ++v) {
-    g.label_offsets_[g.labels_[v] + 1]++;
-    g.label_frequency_[g.labels_[v]] += mult(v);
-  }
-  for (uint32_t l = 0; l < g.num_labels_; ++l) {
-    g.label_offsets_[l + 1] += g.label_offsets_[l];
-  }
-  g.label_vertices_.resize(n);
-  {
-    std::vector<uint64_t> cursor(g.label_offsets_.begin(),
-                                 g.label_offsets_.end() - 1);
-    for (uint32_t v = 0; v < n; ++v) {
-      g.label_vertices_[cursor[g.labels_[v]]++] = v;
-    }
-  }
+  g.BuildLabelIndex();
 
   // NLF runs: per vertex, (label, effective count) sorted by label.
   g.nlf_offsets_.assign(n + 1, 0);

@@ -7,8 +7,8 @@
 //   Graph g = std::move(b).Build();
 //
 // The builder deduplicates edges, (label, id)-sorts adjacency lists, and
-// constructs the label-run / label / NLF / max-neighbor-degree / hub-probe
-// indexes that `Graph` exposes. Self-loops
+// constructs the label-run / label / label-degree / NLF /
+// max-neighbor-degree / hub-probe indexes that `Graph` exposes. Self-loops
 // are rejected unless `AllowSelfLoops` was called (they are only meaningful
 // for compressed graphs whose clique classes loop to themselves).
 

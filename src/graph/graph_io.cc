@@ -20,6 +20,21 @@ namespace {
   throw std::runtime_error(os.str());
 }
 
+// A 64-bit field narrowed to 32 bits: a value above `max` is rejected,
+// never truncated (label 2^32 would otherwise read as label 0).
+uint32_t InRange(uint64_t value, uint64_t max, uint64_t line_no,
+                 const char* what) {
+  if (value > max) {
+    std::ostringstream os;
+    os << "graph parse error at line " << line_no << ": " << what << " "
+       << value << " is out of range (the largest is " << max << ")";
+    throw std::invalid_argument(os.str());
+  }
+  return static_cast<uint32_t>(value);
+}
+
+constexpr uint64_t kMaxU32 = static_cast<uint32_t>(-1);
+
 }  // namespace
 
 Graph ReadGraph(std::istream& in) {
@@ -40,20 +55,21 @@ Graph ReadGraph(std::istream& in) {
     if (tag == 't') {
       uint64_t n = 0, m = 0;
       if (!(ls >> n >> m)) Fail(line_no, "bad 't' header");
-      builder.emplace(static_cast<uint32_t>(n));
+      builder.emplace(InRange(n, kMaxU32, line_no, "vertex count"));
       builder->AllowSelfLoops();
-      multiplicity.assign(n, 1);
+      multiplicity.assign(builder->num_vertices(), 1);
       declared_edges = m;
     } else if (tag == 'v') {
       if (!builder) Fail(line_no, "'v' before 't' header");
       uint64_t id = 0, label = 0;
       if (!(ls >> id >> label)) Fail(line_no, "bad 'v' line");
       if (id >= builder->num_vertices()) Fail(line_no, "vertex id out of range");
-      builder->SetLabel(static_cast<VertexId>(id), static_cast<Label>(label));
+      builder->SetLabel(static_cast<VertexId>(id),
+                        InRange(label, kMaxLabel, line_no, "label"));
       uint64_t mult = 0;
       if (ls >> mult) {
         if (mult == 0) Fail(line_no, "multiplicity must be >= 1");
-        multiplicity[id] = static_cast<uint32_t>(mult);
+        multiplicity[id] = InRange(mult, kMaxU32, line_no, "multiplicity");
         if (mult != 1) any_multiplicity = true;
       }
     } else if (tag == 'e') {

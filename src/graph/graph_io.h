@@ -20,7 +20,9 @@
 namespace cfl {
 
 // Parses a graph from `in`. Throws std::runtime_error on malformed input,
-// and std::invalid_argument on a label above kMaxLabel (graph.h).
+// and std::invalid_argument on a value outside its field's range: a label
+// above kMaxLabel (graph.h), or a vertex count or multiplicity above
+// 2^32 - 1. No field is narrowed silently.
 Graph ReadGraph(std::istream& in);
 
 // Loads a graph from the file at `path`. Throws on I/O or parse errors.

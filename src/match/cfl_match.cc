@@ -18,8 +18,7 @@ namespace cfl {
 
 using obs::WallTimer;
 
-CflMatcher::CflMatcher(const Graph& data)
-    : data_(data), label_degree_index_(data), cpi_builder_(data) {
+CflMatcher::CflMatcher(const Graph& data) : data_(data) {
   if (check::DebugValidationEnabled()) {
     ValidationResult r = ValidateGraph(data);
     CFL_CHECK(r.ok) << " — data graph invalid: " << r.error;
@@ -36,19 +35,20 @@ VertexId CflMatcher::ChooseRoot(const Graph& q) const {
     choices.resize(q.NumVertices());
     for (VertexId v = 0; v < q.NumVertices(); ++v) choices[v] = v;
   }
-  return SelectRoot(q, data_, label_degree_index_, choices);
+  return SelectRoot(q, data_, LabelDegreeIndex(data_), choices);
 }
 
-double CflMatcher::EstimateEmbeddings(const Graph& q) {
+double CflMatcher::EstimateEmbeddings(const Graph& q) const {
   VertexId root = ChooseRoot(q);
   BfsTree tree = BuildBfsTree(q, root);
-  Cpi cpi = cpi_builder_.Build(q, tree, CpiStrategy::kRefined);
+  Cpi cpi = CpiBuilder(data_).Build(q, tree, CpiStrategy::kRefined);
   if (cpi.HasEmptyCandidateSet()) return 0.0;
   std::vector<bool> all(q.NumVertices(), true);
   return TreeCardinality(cpi, root, all);
 }
 
-PreparedQuery CflMatcher::Prepare(const Graph& q, const MatchOptions& options) {
+PreparedQuery CflMatcher::Prepare(const Graph& q,
+                                  const MatchOptions& options) const {
   PreparedQuery prepared;
   WallTimer phase_timer;
   // Stats phase laps come from their own timer so they can exclude the
@@ -66,8 +66,8 @@ PreparedQuery CflMatcher::Prepare(const Graph& q, const MatchOptions& options) {
   // --- CPI ----------------------------------------------------------------
   CpiBuildStats* cpi_stats = nullptr;
   CFL_STATS_ONLY(cpi_stats = &prepared.stats.cpi;)
-  prepared.cpi =
-      cpi_builder_.Build(q, prepared.tree, options.cpi_strategy, cpi_stats);
+  prepared.cpi = CpiBuilder(data_).Build(q, prepared.tree,
+                                         options.cpi_strategy, cpi_stats);
   prepared.build_seconds = phase_timer.Lap();
   CFL_STATS_ONLY({
     MatchStats& s = prepared.stats;
@@ -106,7 +106,8 @@ PreparedQuery CflMatcher::Prepare(const Graph& q, const MatchOptions& options) {
   return prepared;
 }
 
-MatchResult CflMatcher::Match(const Graph& q, const MatchOptions& options) {
+MatchResult CflMatcher::Match(const Graph& q,
+                              const MatchOptions& options) const {
   MatchResult result;
   WallTimer total_timer;
 

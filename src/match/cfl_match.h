@@ -11,11 +11,15 @@
 //   4. Core-match + forest-match by CPI-based backtracking (Algorithm 5);
 //      leaf-match by label-class/NEC counting (Section 4.4).
 //
-// `CflMatcher` is constructed once per data graph (it hosts the
-// LabelDegreeIndex and the CPI builder's scratch) and then serves any number
-// of queries. It accepts compressed data graphs (vertex multiplicities, the
-// [14] boost): counting mode is exact on them; enumeration mode emits
-// compressed embeddings (each distinct expansion is counted, not emitted).
+// `CflMatcher` is nothing but a reference to the data graph: the per-label
+// degree lists of root selection are part of the Graph, and the CPI
+// builder's scratch is thread-local (cpi/cpi_builder.h). Constructing one
+// costs nothing beyond the data-graph check of debug validation, and every
+// method is const and re-entrant, so one matcher can prepare and match from
+// any number of threads at once. It accepts
+// compressed data graphs (vertex multiplicities, the [14] boost): counting
+// mode is exact on them; enumeration mode emits compressed embeddings (each
+// distinct expansion is counted, not emitted).
 
 #ifndef CFL_MATCH_CFL_MATCH_H_
 #define CFL_MATCH_CFL_MATCH_H_
@@ -91,16 +95,18 @@ class CflMatcher {
 
   // Extracts (counts, or enumerates via options.on_embedding) all subgraph
   // isomorphic embeddings of `q` in the data graph, subject to limits.
-  MatchResult Match(const Graph& q, const MatchOptions& options = {});
+  MatchResult Match(const Graph& q, const MatchOptions& options = {}) const;
 
   // Runs the pre-enumeration pipeline only (decomposition, root selection,
   // CPI construction, matching order). `Match` is exactly Prepare followed
   // by enumeration; the parallel matcher calls Prepare once and enumerates
-  // the shared result from several workers. Not thread-safe: the CPI
-  // builder's scratch is reused across calls. Throws std::invalid_argument
-  // for a query it cannot match: one with no vertices, or a disconnected
-  // one (BuildBfsTree).
-  PreparedQuery Prepare(const Graph& q, const MatchOptions& options = {});
+  // the shared result from several workers. A pure function of the data
+  // graph and the query: concurrent calls on one matcher are safe and
+  // return identical plans. Throws std::invalid_argument for a query it
+  // cannot match: one with no vertices, or a disconnected one
+  // (BuildBfsTree).
+  PreparedQuery Prepare(const Graph& q,
+                        const MatchOptions& options = {}) const;
 
   // Cheap cardinality estimate: the number of embeddings of q's BFS *tree*
   // in the refined CPI (the same quantity Algorithm 2's cost model ranks
@@ -108,7 +114,7 @@ class CflMatcher {
   // injectivity, so it upper-approximates sparse queries and is exact for
   // tree queries whose labels are pairwise distinct. Useful as a join-size
   // estimate before committing to a full Match.
-  double EstimateEmbeddings(const Graph& q);
+  double EstimateEmbeddings(const Graph& q) const;
 
  private:
   // Root selection (A.6) among q's 2-core, or among all vertices for a
@@ -116,8 +122,6 @@ class CflMatcher {
   VertexId ChooseRoot(const Graph& q) const;
 
   const Graph& data_;
-  LabelDegreeIndex label_degree_index_;
-  CpiBuilder cpi_builder_;
 };
 
 }  // namespace cfl

@@ -54,8 +54,7 @@ PlanCache::Hit PlanCache::Find(const Graph& query) {
     }
     ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, entry);  // touch: move to MRU front
-    return Hit{entry->plan, *std::move(iso), entry->representative,
-               entry->epoch};
+    return Hit{entry->plan, *std::move(iso), entry->epoch};
   }
   ++stats_.misses;
   return {};
@@ -70,8 +69,16 @@ std::shared_ptr<const PreparedQuery> PlanCache::Insert(const Graph& query,
   const uint64_t hash = CanonicalQueryHash(query);
   const uint64_t bytes = PlanBytes(query, *shared);
   if (bytes > max_bytes_) return shared;  // would evict everything: skip
+  std::vector<Label> labels = QueryLabels(query);
 
   MutexLock lock(mu_);
+  // A commit after `epoch` that dirtied one of our labels ran its
+  // invalidation before this insert: the plan may be stale for every
+  // reader at that commit's epoch or later, so it serves its own query only.
+  for (Label l : labels) {
+    auto dirtied = dirtied_at_.find(l);
+    if (dirtied != dirtied_at_.end() && dirtied->second > epoch) return shared;
+  }
   // A racing prepare of an isomorphic query may have populated the bucket
   // already; keep the resident entry (its LRU position is warm) and hand
   // the caller its own plan uncached.
@@ -83,7 +90,7 @@ std::shared_ptr<const PreparedQuery> PlanCache::Insert(const Graph& query,
   }
 
   lru_.push_front(Entry{hash, std::make_shared<const Graph>(query), shared,
-                        bytes, QueryLabels(query), epoch});
+                        bytes, std::move(labels), epoch});
   index_.emplace(hash, lru_.begin());
   bytes_ += bytes;
   EvictIfOver();
@@ -107,9 +114,14 @@ void PlanCache::EvictIfOver() {
   }
 }
 
-uint64_t PlanCache::InvalidateLabels(const dyn::DirtyLabels& dirty) {
+uint64_t PlanCache::InvalidateLabels(const dyn::DirtyLabels& dirty,
+                                     uint64_t epoch) {
   if (!enabled() || dirty.labels.empty()) return 0;
   MutexLock lock(mu_);
+  for (Label l : dirty.labels) {
+    uint64_t& at = dirtied_at_[l];
+    at = std::max(at, epoch);
+  }
   uint64_t dropped = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (!dirty.Intersects(it->labels)) {

@@ -28,6 +28,13 @@
 // visible to any query, so a query can never hit a plan its own epoch
 // dirtied.
 //
+// The cache also owns the atomicity between a commit and a racing insert:
+// InvalidateLabels records, per dirtied label, the epoch of the commit, and
+// an Insert tagged with the epoch its plan was prepared against is refused
+// (the plan passed through uncached) if a later commit dirtied one of its
+// labels. Whichever of the two takes mu_ first, no stale plan stays cached,
+// so prepares need no lock shared with commits.
+//
 // Thread-safe: one mutex guards the map + LRU list; PreparedQuery itself is
 // immutable after build, so handed-out shared_ptrs stay valid after
 // eviction — eviction only drops the cache's reference.
@@ -39,6 +46,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "check/thread_annotations.h"
@@ -71,9 +79,6 @@ class PlanCache {
     // before consulting the plan, and invert embeddings on the way out as
     // result[caller vertex] = plan_embedding[remap[caller vertex]].
     std::vector<VertexId> remap;
-    // The representative query graph the plan was prepared from — the
-    // enumerator needs the graph matching the plan's vertex numbering.
-    std::shared_ptr<const Graph> representative;
     // Epoch the plan was prepared against. Valid for every epoch >= this
     // one the entry survives to (surviving a commit proves disjointness);
     // a reader pinned *before* it must treat the hit as a miss — it cannot
@@ -95,19 +100,24 @@ class PlanCache {
   // is touched to the LRU front. Returns an empty Hit (null plan) on miss.
   Hit Find(const Graph& query) CFL_EXCLUDES(mu_);
 
-  // Registers a plan freshly prepared from `query` (identity remap). The
-  // cache copies the query as the bucket representative. Returns the shared
-  // plan so the caller enumerates from the same object it cached. Oversized
-  // plans (> max_bytes) and duplicate buckets (a racing insert of an
-  // isomorphic query) are passed through uncached.
+  // Registers a plan freshly prepared from `query` (identity remap) against
+  // the data graph of `epoch`. The cache copies the query as the bucket
+  // representative. Returns the shared plan so the caller enumerates from
+  // the same object it cached. Passed through uncached: oversized plans
+  // (> max_bytes), duplicate buckets (a racing insert of an isomorphic
+  // query), and plans a commit after `epoch` may have staled (one that
+  // dirtied any of the query's labels; see InvalidateLabels).
   std::shared_ptr<const PreparedQuery> Insert(const Graph& query,
                                               PreparedQuery plan,
                                               uint64_t epoch = 0)
       CFL_EXCLUDES(mu_);
 
-  // Drops every entry whose query label set intersects `dirty`; returns
-  // the number dropped (and counts them in stats().invalidations).
-  uint64_t InvalidateLabels(const dyn::DirtyLabels& dirty) CFL_EXCLUDES(mu_);
+  // Drops every entry whose query label set intersects `dirty`, and
+  // records `epoch` — the epoch the dirtying commit created — against each
+  // dirty label for Insert's check. Returns the number dropped (and counts
+  // them in stats().invalidations).
+  uint64_t InvalidateLabels(const dyn::DirtyLabels& dirty, uint64_t epoch)
+      CFL_EXCLUDES(mu_);
 
   PlanCacheStats Stats() CFL_EXCLUDES(mu_);
 
@@ -140,6 +150,9 @@ class PlanCache {
       CFL_GUARDED_BY(mu_);
   uint64_t bytes_ CFL_GUARDED_BY(mu_) = 0;
   PlanCacheStats stats_ CFL_GUARDED_BY(mu_);
+  // Label -> epoch of the latest commit that dirtied it. Kept across
+  // Clear(): it guards inserts, not entries.
+  std::unordered_map<Label, uint64_t> dirtied_at_ CFL_GUARDED_BY(mu_);
 };
 
 }  // namespace cfl::serve

@@ -63,7 +63,6 @@ uint32_t QueryScheduler::ActiveQueries() {
 }
 
 MatchResult QueryScheduler::Execute(const Graph& data,
-                                    const Graph& /*query*/,
                                     const PreparedQuery& prepared,
                                     const MatchLimits& requested,
                                     uint32_t* quota_used) {

@@ -90,15 +90,13 @@ class QueryScheduler {
   // control. The scheduler holds no graph of its own: with dynamic data
   // graphs (dyn/dynamic_graph.h) every query runs against the epoch
   // snapshot it pinned, so the caller passes the snapshot's graph — which
-  // must be the instance `prepared`'s CPI candidates refer to. `query`
-  // must be the graph `prepared` was built from (the cache representative
-  // on a hit). Blocks until the query completes; concurrent callers
+  // must be the instance `prepared`'s CPI candidates refer to. Blocks
+  // until the query completes; concurrent callers
   // interleave on the shared workers. `quota_used` (optional) reports the
   // granted quota. The result's stats carry the enumeration half only
   // (search counters, per-shard root claims, enumerate_seconds): prepare
   // may have run long before, for another query sharing the cached plan.
-  MatchResult Execute(const Graph& data, const Graph& query,
-                      const PreparedQuery& prepared,
+  MatchResult Execute(const Graph& data, const PreparedQuery& prepared,
                       const MatchLimits& requested,
                       uint32_t* quota_used = nullptr);
 

@@ -17,6 +17,7 @@
 
 #include "check/check.h"
 #include "graph/graph_io.h"
+#include "match/cfl_match.h"
 #include "match/iterator.h"
 #include "obs/clock.h"
 
@@ -297,7 +298,6 @@ bool QueryServer::HandleQuery(int fd, LineReader& reader,
                                    : QueryOutcome::Cache::kOff;
 
   std::shared_ptr<const PreparedQuery> plan;
-  std::shared_ptr<const Graph> plan_graph;  // graph in the plan's numbering
   std::vector<VertexId> remap;  // client vertex -> plan vertex; empty = id
   PlanCache::Hit hit = cache_.Find(query);
   // A hit is usable only if the plan's epoch is not newer than ours: a plan
@@ -307,57 +307,33 @@ bool QueryServer::HandleQuery(int fd, LineReader& reader,
   if (hit.plan != nullptr && hit.epoch <= snapshot.epoch()) {
     outcome.cache = QueryOutcome::Cache::kHit;
     plan = std::move(hit.plan);
-    plan_graph = std::move(hit.representative);
     remap = std::move(hit.remap);
   } else {
     WallTimer prepare_timer;
-    std::optional<std::string> rejected;
-    {
-      // Prepare reuses the CPI builder's scratch: one at a time. Insert
-      // rides inside the critical section (lock order prepare_mu_ ->
-      // cache mutex; nothing takes them in the other order).
-      MutexLock lock(prepare_mu_);
-      if (matcher_ == nullptr || matcher_epoch_ != snapshot.epoch() ||
-          matcher_graph_ != snapshot.graph_ptr()) {
-        // Rebind the prepare-side matcher to this query's snapshot; the
-        // shared_ptr keeps the epoch's graph alive for the matcher's
-        // internal references.
-        matcher_graph_ = snapshot.graph_ptr();
-        matcher_ = std::make_unique<CflMatcher>(*matcher_graph_);
-        matcher_epoch_ = snapshot.epoch();
-      }
-      try {
-        PreparedQuery prepared = matcher_->Prepare(query);
-        if (dyn_.CurrentEpoch() == snapshot.epoch()) {
-          plan = cache_.Insert(query, std::move(prepared), snapshot.epoch());
-        } else {
-          // An update committed since we pinned: this plan describes a
-          // superseded epoch. Correct for *this* query (snapshot isolation)
-          // but must not outlive it in the cache — the committed batch's
-          // invalidation pass ran before this insert would land. Updates
-          // also hold prepare_mu_, so the epoch check and Insert are atomic
-          // with respect to commits.
-          plan = std::make_shared<const PreparedQuery>(std::move(prepared));
-        }
-      } catch (const std::invalid_argument& e) {
-        // Prepare rejects a query outside its domain (no vertices,
-        // disconnected): a client error, answered once the lock drops.
-        rejected = e.what();
-      }
-    }
-    if (rejected.has_value()) {
+    PreparedQuery prepared;
+    try {
+      // Prepare is a pure function of (snapshot, query), so misses prepare
+      // concurrently, each on its own session thread.
+      prepared = CflMatcher(data).Prepare(query);
+    } catch (const std::invalid_argument& e) {
+      // Prepare rejects a query outside its domain (no vertices,
+      // disconnected): a client error.
       CountError();
-      return WriteAll(fd, "ERR bad query graph: " + *rejected + "\n");
+      return WriteAll(fd, std::string("ERR bad query graph: ") + e.what() +
+                              "\n");
     }
+    // Tagged with our epoch: the cache hands the plan back uncached if an
+    // update committed since then dirtied one of the query's labels. The
+    // plan stays correct for *this* query (snapshot isolation) either way.
+    plan = cache_.Insert(query, std::move(prepared), snapshot.epoch());
     outcome.prepare_ms = prepare_timer.Lap() * 1e3;
-    plan_graph = std::make_shared<const Graph>(query);
   }
 
   if (header.mode == QueryMode::kCount) {
     uint32_t quota = 0;
     WallTimer enum_timer;
-    MatchResult result = scheduler_.Execute(data, *plan_graph, *plan,
-                                            header.limits, &quota);
+    MatchResult result =
+        scheduler_.Execute(data, *plan, header.limits, &quota);
     outcome.enum_ms = enum_timer.Lap() * 1e3;
     outcome.embeddings = result.embeddings;
     outcome.reached_limit = result.reached_limit;
@@ -424,10 +400,11 @@ bool QueryServer::HandleUpdate(int fd, LineReader& reader) {
     ops.push_back(*op);
   }
 
-  // Optimistic commit with bounded replay: updates serialize on prepare_mu_,
-  // but the background compactor installs rebuilds outside it, so the delta
-  // we build here can lose the race to a compaction epoch. Rebuilding a
-  // small op batch is cheap; lose eight times in a row and report failure.
+  // Optimistic commit with bounded replay: another session's UPDATE or the
+  // background compactor can commit between our Acquire and Apply, and
+  // Apply then rejects the delta as stale. Each lost race is another
+  // batch's commit, and rebuilding a small op batch is cheap; lose eight
+  // times in a row and report failure.
   static constexpr int kMaxAttempts = 8;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     dyn::Snapshot snapshot = dyn_.Acquire();
@@ -455,19 +432,16 @@ bool QueryServer::HandleUpdate(int fd, LineReader& reader) {
       }
     }
 
+    // The on_commit hook invalidates affected plans, and records the
+    // commit's epoch against their labels, before the new epoch is visible
+    // to any Acquire (see PlanCache::Insert for the racing-insert half).
     dyn::ApplyResult result;
     uint64_t invalidated = 0;
-    std::optional<std::string> stale;
-    {
-      // prepare_mu_ makes the commit atomic with HandleQuery's
-      // epoch-checked cache inserts; the on_commit hook invalidates
-      // affected plans before the new epoch is visible to any Acquire.
-      MutexLock lock(prepare_mu_);
-      stale = dyn_.Apply(std::move(delta), &result,
-                         [&](const dyn::DirtyLabels& dirty) {
-                           invalidated = cache_.InvalidateLabels(dirty);
-                         });
-    }
+    std::optional<std::string> stale =
+        dyn_.Apply(std::move(delta), &result,
+                   [&](const dyn::DirtyLabels& dirty, dyn::Epoch epoch) {
+                     invalidated = cache_.InvalidateLabels(dirty, epoch);
+                   });
     if (stale.has_value()) {
       MutexLock lock(counter_mu_);
       ++counters_.update_retries;

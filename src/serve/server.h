@@ -15,12 +15,12 @@
 //      Updates invalidate exactly the entries whose query labels the batch
 //      dirtied — from inside the commit's critical section, so a query can
 //      never hit a plan its own epoch staled;
-//   3. on a miss, runs CflMatcher::Prepare — serialized by a mutex, because
-//      Prepare reuses the CPI builder's scratch and is not thread-safe
-//      (enumeration, the expensive half under load, is what parallelizes).
-//      The matcher is rebound when the epoch moved since the last prepare;
-//      a plan prepared against a snapshot that is no longer current is
-//      used for its own query but not cached;
+//   3. on a miss, runs CflMatcher::Prepare against the pinned snapshot on
+//      the session thread. Prepare is a pure function of (snapshot, query)
+//      with thread-local scratch, so misses on different connections
+//      prepare concurrently, with no server lock. The plan is inserted
+//      tagged with the pinned epoch; the cache passes it through uncached
+//      if an update committed since then dirtied one of its labels;
 //   4. executes: counting queries fan out over the shared worker pool under
 //      the scheduler's admission control (serve/scheduler.h); streaming
 //      queries pull embeddings one at a time through EmbeddingIterator and
@@ -53,7 +53,6 @@
 #include "check/thread_annotations.h"
 #include "dyn/dynamic_graph.h"
 #include "graph/graph.h"
-#include "match/cfl_match.h"
 #include "parallel/task_pool.h"
 #include "serve/plan_cache.h"
 #include "serve/protocol.h"
@@ -140,17 +139,6 @@ class QueryServer {
   // The data graph's epochs. All query/update state hangs off this; the
   // server never holds a bare `const Graph&` anymore.
   dyn::DynamicGraph dyn_;
-
-  // CflMatcher::Prepare is not thread-safe; level 20 < DynamicGraph's 22 <
-  // PlanCache's 30, because HandleQuery inserts into the cache under
-  // prepare_mu_ and HandleUpdate commits (and invalidates the cache from
-  // the commit hook) under it. The matcher is lazily rebound to the
-  // querying snapshot's epoch; matcher_graph_ keeps that epoch's graph
-  // alive for as long as the matcher references it.
-  Mutex prepare_mu_ CFL_LOCK_LEVEL(20);
-  std::shared_ptr<const Graph> matcher_graph_ CFL_GUARDED_BY(prepare_mu_);
-  std::unique_ptr<CflMatcher> matcher_ CFL_GUARDED_BY(prepare_mu_);
-  dyn::Epoch matcher_epoch_ CFL_GUARDED_BY(prepare_mu_) = 0;
 
   PlanCache cache_;
   QueryScheduler scheduler_;

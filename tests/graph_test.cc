@@ -2,13 +2,18 @@
 
 #include "graph/graph.h"
 
+#include <algorithm>
 #include <random>
 #include <set>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cpi/candidate_filter.h"
+#include "dyn/delta.h"
+#include "dyn/fold.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
@@ -180,6 +185,115 @@ TEST(GraphTest, LabelIndex) {
   EXPECT_EQ(g.LabelFrequency(99), 0u);
 }
 
+// The per-label degree lists (built by a counting pass, no sort) against a
+// sort-based reference computed from labels and degrees alone, and
+// LabelDegreeIndex::CountAtLeast against a scan.
+void ExpectLabelDegreesMatchReference(const Graph& g) {
+  std::vector<std::vector<uint32_t>> ref(g.NumLabels());
+  uint32_t max_degree = 0;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    ref[g.label(v)].push_back(g.degree(v));
+    max_degree = std::max(max_degree, g.degree(v));
+  }
+  const LabelDegreeIndex index(g);
+  for (Label l = 0; l < g.NumLabels(); ++l) {
+    std::sort(ref[l].begin(), ref[l].end());
+    std::span<const uint32_t> got = g.LabelDegrees(l);
+    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), ref[l])
+        << "label " << l;
+    for (uint32_t d : {0u, 1u, 2u, 3u, max_degree / 2, max_degree,
+                       max_degree + 1}) {
+      const auto at_least = static_cast<uint64_t>(
+          std::count_if(ref[l].begin(), ref[l].end(),
+                        [d](uint32_t x) { return x >= d; }));
+      EXPECT_EQ(index.CountAtLeast(l, d), at_least)
+          << "label " << l << " degree " << d;
+    }
+  }
+  EXPECT_TRUE(g.LabelDegrees(g.NumLabels()).empty());
+  EXPECT_EQ(index.CountAtLeast(g.NumLabels(), 0), 0u);
+}
+
+// A random multigraph-free graph with a few hubs, so degrees spread from 0
+// to well above the rest.
+Graph RandomLabeledGraph(uint32_t n, uint32_t labels, uint32_t edges,
+                         uint32_t seed) {
+  std::mt19937 rng(seed);
+  GraphBuilder b(n);
+  for (VertexId v = 0; v < n; ++v) b.SetLabel(v, rng() % labels);
+  for (uint32_t i = 0; i < edges; ++i) {
+    const VertexId u = rng() % n;
+    const VertexId v = rng() % n;
+    if (u != v) b.AddEdge(u, v);
+  }
+  for (VertexId hub = 0; hub < 3; ++hub) {
+    for (VertexId v = hub + 1; v < n; v += 2 + hub) b.AddEdge(hub, v);
+  }
+  return std::move(b).Build();
+}
+
+TEST(GraphTest, LabelDegreesMatchSortedReferenceAfterBuild) {
+  ExpectLabelDegreesMatchReference(Figure3Data());
+  ExpectLabelDegreesMatchReference(RandomLabeledGraph(1000, 7, 3000, 1));
+  ExpectLabelDegreesMatchReference(RandomLabeledGraph(1, 1, 0, 2));
+  ExpectLabelDegreesMatchReference(GraphBuilder(0).Build());
+
+  // Compressed: effective degrees far above |V|, so the degree buckets
+  // take several digit passes.
+  GraphBuilder b(4);
+  b.AllowSelfLoops();
+  b.SetLabel(2, 1);
+  b.SetLabel(3, 1);
+  b.AddEdge(0, 1);
+  b.AddEdge(1, 2);
+  b.AddEdge(2, 2);
+  b.AddEdge(2, 3);
+  b.SetMultiplicities({100000, 3, 70001, 5});
+  const Graph compressed = std::move(b).Build();
+  ASSERT_GT(compressed.degree(2), 70000u);
+  ExpectLabelDegreesMatchReference(compressed);
+}
+
+TEST(GraphTest, LabelDegreesMatchSortedReferenceAfterFold) {
+  const Graph base = RandomLabeledGraph(500, 5, 1500, 3);
+  std::mt19937 rng(4);
+  dyn::GraphDelta delta(base);
+  // Added vertices, one under a label the base does not have.
+  VertexId added = 0;
+  ASSERT_TRUE(delta.AddVertex(2, &added));
+  ASSERT_TRUE(delta.AddEdge(added, 0));
+  ASSERT_TRUE(delta.AddEdge(added, 7));
+  ASSERT_TRUE(delta.AddVertex(9, &added));
+  ASSERT_TRUE(delta.AddEdge(added, 1));
+  // Tombstones, including a hub.
+  ASSERT_TRUE(delta.RemoveVertex(1));
+  ASSERT_TRUE(delta.RemoveVertex(42));
+  // Re-wiring: drop some present edges, add some absent ones.
+  uint32_t removed = 0;
+  uint32_t rewired = 0;
+  for (VertexId v = 100; v < 500 && removed < 40; ++v) {
+    for (VertexId w : base.Neighbors(v)) {
+      if (delta.HasEdgeNow(v, w)) {
+        ASSERT_TRUE(delta.RemoveEdge(v, w));
+        ++removed;
+        break;
+      }
+    }
+  }
+  while (rewired < 60) {
+    const VertexId u = 2 + rng() % 498;
+    const VertexId v = 2 + rng() % 498;
+    if (u == v || u == 42 || v == 42 || delta.HasEdgeNow(u, v)) continue;
+    ASSERT_TRUE(delta.AddEdge(u, v));
+    ++rewired;
+  }
+  delta.Seal();
+  const Graph folded = dyn::FoldDelta(base, delta);
+  ASSERT_EQ(folded.NumLabels(), 10u);
+  ASSERT_EQ(folded.degree(1), 0u);
+  ExpectLabelDegreesMatchReference(folded);
+}
+
 TEST(GraphTest, NeighborLabelCounts) {
   Graph g = Figure3Data();
   // v0 (A) neighbors: v1(C), v2(B), v3(C).
@@ -326,6 +440,21 @@ TEST(GraphIoTest, MalformedInputs) {
     std::stringstream ss(text);
     EXPECT_THROW(ReadGraph(ss), std::invalid_argument) << text;
   }
+  // 64-bit fields above their 32-bit range used to be narrowed: label 2^32
+  // read as label 0 (and matched as such), `t 4294967298 1` built a
+  // 2-vertex graph after sizing a 2^32+2-entry multiplicity vector, and
+  // multiplicity 2^32 became 0 behind the >= 1 check.
+  for (const char* text : {"t 2 1\nv 0 4294967296\nv 1 0\ne 0 1\n",
+                           "t 4294967298 1\nv 0 0\nv 1 0\ne 0 1\n",
+                           "t 2 1\nv 0 0 4294967296\nv 1 0\ne 0 1\n"}) {
+    std::stringstream ss(text);
+    EXPECT_THROW(ReadGraph(ss), std::invalid_argument) << text;
+  }
+  // The largest multiplicity still parses.
+  std::stringstream ok("t 2 1\nv 0 0\nv 1 0 4294967295\ne 0 1\n");
+  Graph g = ReadGraph(ok);
+  EXPECT_EQ(g.multiplicity(1), 4294967295u);
+  EXPECT_EQ(g.degree(0), 4294967295u);
 }
 
 TEST(InducedSubgraphTest, ExtractsVertexInducedEdges) {

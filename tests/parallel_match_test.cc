@@ -4,12 +4,16 @@
 #include "parallel/parallel_match.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/compress.h"
+#include "check/test_access.h"
+#include "cpi/cpi_builder.h"
 #include "gen/query_gen.h"
 #include "gen/synthetic.h"
 #include "match/cfl_match.h"
@@ -166,6 +170,84 @@ TEST(ParallelMatchTest, EngineWrapperNameAndLimits) {
   MatchResult r = engine->Run(testing::Figure3Query(), limits);
   EXPECT_GE(r.embeddings, 1u);
   EXPECT_TRUE(r.reached_limit);
+}
+
+// ---- Concurrent prepares -------------------------------------------------
+
+// Prepare is a pure function of (data graph, query): threads sharing one
+// matcher each build through their own thread-local scratch. Every plan
+// must equal the serial Prepare's arena for arena, and each thread's
+// counting scratch must be all-zero once it is done.
+TEST(ParallelMatchTest, ConcurrentPreparesMatchSerial) {
+  SyntheticOptions data_opt;
+  data_opt.num_vertices = 1500;
+  data_opt.average_degree = 6.0;
+  data_opt.num_labels = 5;
+  data_opt.seed = 11;
+  const Graph g = MakeSynthetic(data_opt);
+  std::vector<Graph> queries;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    QueryGenOptions query_opt;
+    query_opt.num_vertices = 6 + static_cast<uint32_t>(seed % 4);
+    query_opt.sparse = (seed % 2 == 0);
+    query_opt.seed = seed;
+    queries.push_back(GenerateQuery(g, query_opt));
+  }
+  const CflMatcher matcher(g);
+  std::vector<PreparedQuery> serial;
+  for (const Graph& q : queries) serial.push_back(matcher.Prepare(q));
+
+  constexpr uint32_t kThreads = 4;
+  constexpr uint32_t kRounds = 3;
+  const size_t n = queries.size();
+  std::vector<std::vector<PreparedQuery>> plans(kThreads);
+  std::vector<uint8_t> scratch_zero(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different query, so different queries
+      // build at the same time.
+      for (size_t k = 0; k < kRounds * n; ++k) {
+        plans[t].push_back(matcher.Prepare(queries[(k + t) % n]));
+      }
+      const CpiBuilder probe(g);  // binds this thread's scratch
+      const std::vector<uint32_t>& cnt = CpiBuilderTestAccess::Counts(probe);
+      const std::vector<uint64_t>& seen =
+          CpiBuilderTestAccess::SeenBits(probe);
+      scratch_zero[t] =
+          cnt.size() == g.NumVertices() &&
+          std::all_of(cnt.begin(), cnt.end(),
+                      [](uint32_t c) { return c == 0; }) &&
+          std::all_of(seen.begin(), seen.end(),
+                      [](uint64_t w) { return w == 0; });
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(scratch_zero[t]) << "thread " << t;
+    ASSERT_EQ(plans[t].size(), kRounds * n);
+    for (size_t k = 0; k < plans[t].size(); ++k) {
+      PreparedQuery& want = serial[(k + t) % n];
+      PreparedQuery& got = plans[t][k];
+      SCOPED_TRACE("thread " + std::to_string(t) + " query " +
+                   std::to_string((k + t) % n));
+      EXPECT_EQ(got.tree.root, want.tree.root);
+      EXPECT_EQ(got.no_results, want.no_results);
+      EXPECT_EQ(CpiTestAccess::CandArena(got.cpi),
+                CpiTestAccess::CandArena(want.cpi));
+      EXPECT_EQ(CpiTestAccess::CandOffsets(got.cpi),
+                CpiTestAccess::CandOffsets(want.cpi));
+      EXPECT_EQ(CpiTestAccess::AdjOffArena(got.cpi),
+                CpiTestAccess::AdjOffArena(want.cpi));
+      EXPECT_EQ(CpiTestAccess::AdjOffStart(got.cpi),
+                CpiTestAccess::AdjOffStart(want.cpi));
+      EXPECT_EQ(CpiTestAccess::AdjEntryArena(got.cpi),
+                CpiTestAccess::AdjEntryArena(want.cpi));
+      EXPECT_EQ(CpiTestAccess::AdjEntryStart(got.cpi),
+                CpiTestAccess::AdjEntryStart(want.cpi));
+    }
+  }
 }
 
 }  // namespace

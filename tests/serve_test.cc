@@ -242,7 +242,7 @@ TEST(PlanCacheTest, InvalidateLabelsDropsOnlyIntersectingEntries) {
   // A batch that dirtied label 3 must drop exactly the {2,3} plan.
   dyn::DirtyLabels dirty;
   dirty.labels = {3};
-  EXPECT_EQ(cache.InvalidateLabels(dirty), 1u);
+  EXPECT_EQ(cache.InvalidateLabels(dirty, 1), 1u);
   EXPECT_NE(cache.Find(q01).plan, nullptr);
   EXPECT_EQ(cache.Find(q23).plan, nullptr);
   serve::PlanCacheStats stats = cache.Stats();
@@ -253,8 +253,47 @@ TEST(PlanCacheTest, InvalidateLabelsDropsOnlyIntersectingEntries) {
   // A clean batch drops nothing.
   dyn::DirtyLabels clean;
   clean.labels = {7};
-  EXPECT_EQ(cache.InvalidateLabels(clean), 0u);
+  EXPECT_EQ(cache.InvalidateLabels(clean, 2), 0u);
   EXPECT_EQ(cache.Stats().entries, 1u);
+}
+
+// The commit/insert race the server leaves to the cache: two plans are
+// prepared at epoch e, then commit e+1 dirties label 1 before either Insert
+// lands. The plan over label 1 must not be cached (it may describe
+// candidates the commit changed); the plan whose labels stayed clean is
+// cached under epoch e, so a reader pinned at e+1 hits it.
+TEST(PlanCacheTest, InsertTaggedBeforeADirtyingCommitIsNotCached) {
+  Graph data = TestData();
+  CflMatcher matcher(data);
+  PlanCache cache(64ull << 20);
+  constexpr uint64_t e = 4;
+
+  Graph q01 = MakeGraph({0, 1, 0}, {{0, 1}, {1, 2}});
+  Graph q23 = MakeGraph({2, 3, 2}, {{0, 1}, {1, 2}});
+  PreparedQuery p01 = matcher.Prepare(q01);
+  PreparedQuery p23 = matcher.Prepare(q23);
+  dyn::DirtyLabels dirty;
+  dirty.labels = {1};
+  EXPECT_EQ(cache.InvalidateLabels(dirty, e + 1), 0u);  // nothing cached yet
+
+  std::shared_ptr<const PreparedQuery> stale =
+      cache.Insert(q01, std::move(p01), e);
+  EXPECT_NE(stale, nullptr);  // still handed back to serve its own query
+  EXPECT_EQ(cache.Find(q01).plan, nullptr);
+
+  std::shared_ptr<const PreparedQuery> clean =
+      cache.Insert(q23, std::move(p23), e);
+  PlanCache::Hit hit = cache.Find(q23);
+  EXPECT_EQ(hit.plan, clean);
+  EXPECT_EQ(hit.epoch, e);
+  EXPECT_LE(hit.epoch, e + 1);  // usable by a reader pinned at e + 1
+  EXPECT_EQ(cache.Stats().entries, 1u);
+
+  // Prepared at the dirtying commit's epoch: nothing newer dirtied it.
+  std::shared_ptr<const PreparedQuery> fresh =
+      cache.Insert(q01, matcher.Prepare(q01), e + 1);
+  EXPECT_EQ(cache.Find(q01).plan, fresh);
+  EXPECT_EQ(cache.Stats().entries, 2u);
 }
 
 TEST(PlanCacheTest, ZeroBudgetDisablesCaching) {
@@ -357,7 +396,7 @@ TEST(SchedulerTest, CountsMatchSerialEngine) {
     PreparedQuery prepared = matcher.Prepare(q);
     uint32_t quota = 0;
     MatchResult served =
-        scheduler.Execute(data, q, prepared, MatchLimits{}, &quota);
+        scheduler.Execute(data, prepared, MatchLimits{}, &quota);
     EXPECT_EQ(served.embeddings, serial.embeddings);
     EXPECT_FALSE(served.reached_limit);
     EXPECT_FALSE(served.timed_out);
@@ -384,7 +423,7 @@ TEST(SchedulerTest, ServedStatsMatchSerialAtEveryQuota) {
       if (prepared.no_results) continue;
       uint32_t quota = 0;
       MatchResult served =
-          scheduler.Execute(data, q, prepared, MatchLimits{}, &quota);
+          scheduler.Execute(data, prepared, MatchLimits{}, &quota);
       const std::string tag = "quota=" + std::to_string(quota);
       EXPECT_EQ(quota, quota_cap);
       ASSERT_TRUE(served.stats.recorded) << tag;
@@ -434,8 +473,7 @@ TEST(SchedulerTest, ConcurrentQueriesInterleaveCorrectly) {
   for (size_t i = 0; i < queries.size(); ++i) {
     sessions.emplace_back([&, i] {
       for (int rep = 0; rep < 3; ++rep) {
-        MatchResult r =
-            scheduler.Execute(data, queries[i], prepared[i], MatchLimits{});
+        MatchResult r = scheduler.Execute(data, prepared[i], MatchLimits{});
         if (r.embeddings != expected[i]) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
@@ -817,7 +855,8 @@ TEST(QueryServerTest, DisconnectedQueryGetsBadQueryGraphErr) {
 }
 
 // Regression: label 4294967295 wrapped the label count to 0 and segfaulted
-// the server, in a QUERY and in an UPDATE alike.
+// the server, in a QUERY and in an UPDATE alike. Label 4294967296 was
+// narrowed to label 0 by the graph reader and silently matched as such.
 TEST(QueryServerTest, LabelUint32MaxGetsErrAndServerStaysUp) {
   Graph data = Figure3Data();
   serve::ServeOptions options;
@@ -828,7 +867,7 @@ TEST(QueryServerTest, LabelUint32MaxGetsErrAndServerStaysUp) {
   ASSERT_TRUE(conn.ok());
 
   std::string line;
-  for (const char* label : {"4294967295", "-1"}) {
+  for (const char* label : {"4294967295", "-1", "4294967296"}) {
     ASSERT_TRUE(conn.Send(std::string("QUERY mode=count\nt 2 1\nv 0 0\nv 1 ") +
                           label + "\ne 0 1\nEND\n"));
     ASSERT_TRUE(conn.ReadLine(&line)) << label;
