@@ -18,21 +18,15 @@ DynamicGraph::DynamicGraph(Graph base, DynOptions options)
   }
 }
 
-DynamicGraph::~DynamicGraph() {
-  // A compactor parked in WaitUntilDrained would deadlock the pool join;
-  // fail its wait first. Tasks already rebuilding finish and install (or
-  // abandon) against still-live members — the pool joins before any member
-  // destructor runs.
-  epochs_.Cancel();
-  compactor_.reset();
-}
-
 Snapshot DynamicGraph::Acquire() {
   MutexLock lock(mu_);
-  return Snapshot(current_, epochs_.Pin());
+  return Snapshot(current_, counters_.epoch);
 }
 
-Epoch DynamicGraph::CurrentEpoch() { return epochs_.current(); }
+Epoch DynamicGraph::CurrentEpoch() {
+  MutexLock lock(mu_);
+  return counters_.epoch;
+}
 
 std::optional<std::string> DynamicGraph::Apply(
     GraphDelta&& delta, ApplyResult* result,
@@ -48,18 +42,14 @@ std::optional<std::string> DynamicGraph::Apply(
     if (delta.empty()) {
       if (result != nullptr) {
         *result = {};
-        result->epoch = epochs_.current();
+        result->epoch = counters_.epoch;
       }
       return std::nullopt;
     }
     DirtyLabels dirty;
-    Graph folded = FoldDelta(*current_, delta, &dirty);
-    retained_.push_back({epochs_.current(), current_});
-    current_ = std::make_shared<const Graph>(std::move(folded));
-    const Epoch committed = epochs_.Advance();
+    InstallLocked(FoldDelta(*current_, delta, &dirty));
 
     counters_.folds++;
-    counters_.epochs_created++;
     counters_.vertices_added += delta.AddedVertices();
     counters_.vertices_removed += delta.RemovedVertices();
     counters_.edges_added += delta.AddedEdges();
@@ -73,11 +63,10 @@ std::optional<std::string> DynamicGraph::Apply(
       compaction_scheduled_ = true;
       schedule = true;
     }
-    RetireDrainedLocked();
 
-    if (on_commit != nullptr) on_commit(dirty, committed);
+    if (on_commit != nullptr) on_commit(dirty, counters_.epoch);
     if (result != nullptr) {
-      result->epoch = committed;
+      result->epoch = counters_.epoch;
       result->dirty = std::move(dirty);
       result->added_vertices = delta.AddedVertices();
       result->removed_vertices = delta.RemovedVertices();
@@ -97,10 +86,9 @@ std::optional<std::string> DynamicGraph::Apply(
 
 obs::DynCounters DynamicGraph::Stats() {
   MutexLock lock(mu_);
-  RetireDrainedLocked();
+  PruneSupersededLocked();
   obs::DynCounters out = counters_;
-  out.live_epochs = 1 + retained_.size();
-  out.pinned_refs = epochs_.PinnedAtOrBelow(epochs_.current());
+  out.live_epochs = 1 + superseded_.size();
   return out;
 }
 
@@ -109,42 +97,37 @@ bool DynamicGraph::CompactNow() {
   std::shared_ptr<const Graph> snapshot;
   {
     MutexLock lock(mu_);
-    target = epochs_.current();
+    target = counters_.epoch;
     snapshot = current_;
   }
-  // The drain barrier: no rebuild is installed while any older epoch is
-  // still pinned. Cancelled on shutdown.
-  if (target > 0 && !epochs_.WaitUntilDrained(target - 1)) return false;
-
   Graph rebuilt = Rebuild(*snapshot);  // off-lock: the expensive part
 
   MutexLock lock(mu_);
-  if (epochs_.current() != target) {
+  if (counters_.epoch != target) {
     // A writer committed while we rebuilt; the rebuild describes a stale
     // epoch. Abandon — the next trigger will try again.
     counters_.compactions_abandoned++;
     return false;
   }
-  retained_.push_back({target, current_});
-  current_ = std::make_shared<const Graph>(std::move(rebuilt));
-  epochs_.Advance();
+  InstallLocked(std::move(rebuilt));
   counters_.compactions++;
-  counters_.epochs_created++;
   touched_since_rebuild_ = 0;
-  RetireDrainedLocked();
   return true;
 }
 
-void DynamicGraph::RetireDrainedLocked() {
-  auto it = retained_.begin();
-  while (it != retained_.end()) {
-    if (epochs_.PinCount(it->epoch) == 0) {
-      counters_.epochs_retired++;
-      it = retained_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+void DynamicGraph::InstallLocked(Graph next) {
+  superseded_.push_back(current_);
+  current_ = std::make_shared<const Graph>(std::move(next));
+  counters_.epoch++;
+  PruneSupersededLocked();
+}
+
+void DynamicGraph::PruneSupersededLocked() {
+  const size_t before = superseded_.size();
+  std::erase_if(superseded_, [](const std::weak_ptr<const Graph>& g) {
+    return g.expired();
+  });
+  counters_.epochs_retired += before - superseded_.size();
 }
 
 Graph DynamicGraph::Rebuild(const Graph& g) {

@@ -1,36 +1,35 @@
 // The mutable facade over immutable per-epoch snapshots.
 //
 // `DynamicGraph` is the one stateful object of the dynamic subsystem. It
-// owns the current `Graph` snapshot, the epoch counter, the retained list
-// of superseded snapshots, and the background compactor. The engine's
-// `const Graph&` interface is untouched: a reader calls `Acquire()` and
-// gets a `Snapshot` — a shared_ptr to one immutable epoch graph plus an
-// RAII `EpochRef` pin — and runs the entire prepare/enumerate pipeline
-// against that frozen instance while writers commit later epochs alongside.
+// owns the current `Graph` snapshot, the epoch counter and the background
+// compactor. The engine's `const Graph&` interface is untouched: a reader
+// calls `Acquire()` and gets a `Snapshot` — a shared_ptr to one immutable
+// epoch graph plus that graph's epoch — and runs the entire
+// prepare/enumerate pipeline against that frozen instance while writers
+// commit later epochs alongside. Shared ownership alone keeps a snapshot
+// alive: a superseded graph is freed when its last reader drops it, and
+// nothing waits for readers.
 //
 // Writer path (`Apply`): seal the delta, fold it into a fresh CSR
-// (dyn/fold.h) under the graph mutex, retain the superseded snapshot until
-// its pins drain, advance the epoch, and report the fold's DirtyLabels so
-// the serve layer can invalidate exactly the affected cached plans. A delta
-// built against a snapshot that is no longer current is rejected as stale —
-// the caller re-acquires and rebuilds its delta (serve/server.cc does this
-// with a bounded retry).
+// (dyn/fold.h) under the graph mutex, install it as the next epoch, and
+// report the fold's DirtyLabels so the serve layer can invalidate exactly
+// the affected cached plans. A delta built against a snapshot that is no
+// longer current is rejected as stale — the caller re-acquires and
+// rebuilds its delta (serve/server.cc does this with a bounded retry).
 //
 // Compaction: folds are incremental and never re-sort, so after enough
 // churn the snapshot drifts from what a from-scratch build would choose
 // (hub budget settlement pessimism, tombstone accumulation in the label
 // index). When the touched-vertex accumulator crosses
 // `compact_touched_fraction * n`, the compactor (one TaskPool worker)
-// waits until every older epoch drains (`EpochManager::WaitUntilDrained` —
-// compaction never runs while an older epoch is pinned, the property
-// tests/dyn_epoch_test.cc locks in under tsan), rebuilds from scratch
-// off-lock, and installs the rebuild only if the epoch did not advance
-// mid-rebuild (otherwise the work is abandoned and recounted).
+// rebuilds the current snapshot from scratch off-lock and installs the
+// rebuild as the next epoch only if the epoch did not advance mid-rebuild
+// (otherwise the work is abandoned and recounted). Readers of older epochs
+// keep their own graphs; the rebuild does not wait for them.
 //
 // Lock hierarchy (DESIGN.md §9): mu_ is level 22, the lowest level in the
-// process — below EpochManager's (24) and the plan cache's (30), so
-// Apply's graph -> pin and graph -> cache (commit hook) chains ascend.
-// Callers hold no lock when they call in.
+// process — below the plan cache's (30), so Apply's graph -> cache (commit
+// hook) chain ascends. Callers hold no lock when they call in.
 
 #ifndef CFL_DYN_DYNAMIC_GRAPH_H_
 #define CFL_DYN_DYNAMIC_GRAPH_H_
@@ -45,7 +44,6 @@
 
 #include "check/thread_annotations.h"
 #include "dyn/delta.h"
-#include "dyn/epoch.h"
 #include "graph/graph.h"
 #include "obs/dyn_counters.h"
 #include "parallel/task_pool.h"
@@ -63,30 +61,22 @@ struct DynOptions {
   bool background_compaction = true;
 };
 
-// One pinned epoch: the immutable graph plus the pin keeping its snapshot
-// from being retired. Move-only; queries hold it for their full lifetime.
+using Epoch = uint64_t;
+
+// One epoch: the immutable graph and its epoch number. Queries hold it for
+// their full lifetime; the graph lives as long as any copy does.
 class Snapshot {
  public:
   Snapshot() = default;
-  Snapshot(std::shared_ptr<const Graph> graph, EpochRef ref)
-      : graph_(std::move(graph)), ref_(std::move(ref)) {}
-
-  Snapshot(Snapshot&&) = default;
-  Snapshot& operator=(Snapshot&&) = default;
+  Snapshot(std::shared_ptr<const Graph> graph, Epoch epoch)
+      : graph_(std::move(graph)), epoch_(epoch) {}
 
   const Graph& graph() const { return *graph_; }
-  const std::shared_ptr<const Graph>& graph_ptr() const { return graph_; }
-  Epoch epoch() const { return ref_.epoch(); }
-  bool valid() const { return graph_ != nullptr && ref_.held(); }
-
-  // Unpins early (before destruction). The graph pointer stays usable —
-  // shared ownership protects the memory — but the compactor no longer
-  // waits for this reader.
-  void ReleasePin() { ref_.Release(); }
+  Epoch epoch() const { return epoch_; }
 
  private:
   std::shared_ptr<const Graph> graph_;
-  EpochRef ref_;
+  Epoch epoch_ = 0;
 };
 
 // Result of a successful Apply.
@@ -103,18 +93,15 @@ class DynamicGraph {
  public:
   explicit DynamicGraph(Graph base, DynOptions options = {});
 
-  // Cancels any parked compactor wait and joins the worker. Dies (via
-  // ~EpochManager) if a Snapshot still holds a pin.
-  ~DynamicGraph();
-
   DynamicGraph(const DynamicGraph&) = delete;
   DynamicGraph& operator=(const DynamicGraph&) = delete;
 
-  // Pins the current epoch and returns its snapshot.
+  // Returns the current epoch's snapshot.
   Snapshot Acquire() CFL_EXCLUDES(mu_);
 
-  // Builds a delta against `snapshot`'s graph. Convenience for callers
-  // that already hold a snapshot (the delta is bound to that instance).
+  // Builds a delta against `snapshot`'s graph. Keep `snapshot` until Apply
+  // returns: the delta reads that graph, and Apply tells a stale delta by
+  // the graph's identity.
   GraphDelta NewDelta(const Snapshot& snapshot) const {
     return GraphDelta(snapshot.graph());
   }
@@ -128,7 +115,7 @@ class DynamicGraph {
   // `on_commit`, when given, runs *inside* the commit's critical section,
   // after the new epoch exists but before any Acquire can observe it, with
   // the batch's dirty labels and the new epoch. The serve layer invalidates
-  // its plan cache here: a query that later pins the new epoch can then
+  // its plan cache here: a query that later acquires the new epoch can then
   // never hit a plan the batch dirtied (invalidation strictly precedes
   // visibility), and the cache refuses plans prepared before this epoch
   // for those labels. The callback must not call back into this
@@ -141,23 +128,20 @@ class DynamicGraph {
 
   Epoch CurrentEpoch() CFL_EXCLUDES(mu_);
 
-  // Counter snapshot (gauges sampled now). Also opportunistically retires
-  // drained snapshots so the gauges reflect reality.
+  // Counter snapshot (gauges sampled now).
   obs::DynCounters Stats() CFL_EXCLUDES(mu_);
 
-  // Synchronous compaction: waits for older epochs to drain, rebuilds,
-  // installs. Returns false if cancelled (shutdown) or if the epoch
-  // advanced mid-rebuild. Test hook and the background task's body.
+  // Synchronous compaction: rebuilds the current snapshot and installs the
+  // rebuild as the next epoch. Returns false if the epoch advanced
+  // mid-rebuild. Test hook and the background task's body.
   bool CompactNow() CFL_EXCLUDES(mu_);
 
  private:
-  struct Retained {
-    Epoch epoch;
-    std::shared_ptr<const Graph> graph;
-  };
+  // Makes `next` the current snapshot of a new epoch.
+  void InstallLocked(Graph next) CFL_REQUIRES(mu_);
 
-  // Drops retained snapshots whose epoch has no outstanding pins.
-  void RetireDrainedLocked() CFL_REQUIRES(mu_);
+  // Forgets superseded snapshots no reader holds any more.
+  void PruneSupersededLocked() CFL_REQUIRES(mu_);
 
   // From-scratch rebuild of `g` through GraphBuilder (fresh hub
   // settlement, canonical vector sizes). Static: runs off-lock.
@@ -167,19 +151,20 @@ class DynamicGraph {
 
   Mutex mu_ CFL_LOCK_LEVEL(22);
   std::shared_ptr<const Graph> current_ CFL_GUARDED_BY(mu_);
-  std::vector<Retained> retained_ CFL_GUARDED_BY(mu_);
+  // Superseded snapshots, held weakly: only the live_epochs gauge reads
+  // them.
+  std::vector<std::weak_ptr<const Graph>> superseded_ CFL_GUARDED_BY(mu_);
+  // counters_.epoch is the epoch counter: the current snapshot's epoch.
   obs::DynCounters counters_ CFL_GUARDED_BY(mu_);
   // Touched vertices folded since the last from-scratch rebuild; the
   // compaction trigger.
   uint64_t touched_since_rebuild_ CFL_GUARDED_BY(mu_) = 0;
   bool compaction_scheduled_ CFL_GUARDED_BY(mu_) = false;
 
-  EpochManager epochs_;
-
   // Single-worker pool for background compaction; null when
   // options_.background_compaction is false. Declared last so its
-  // destructor (which joins the worker) runs first — after ~DynamicGraph
-  // has cancelled the epoch waits the worker might be parked on.
+  // destructor (which joins the worker) runs first, while the members a
+  // running compaction touches are still alive.
   std::unique_ptr<TaskPool> compactor_;
 };
 

@@ -1,8 +1,8 @@
 // Folding a sealed GraphDelta into a fresh epoch Graph.
 //
 // Each committed batch produces a brand-new immutable `Graph` — the next
-// epoch's snapshot — while queries pinned to older epochs keep reading
-// their own instances untouched (dyn/epoch.h). The fold is *incremental*:
+// epoch's snapshot — while queries on older epochs keep reading their own
+// instances untouched (dyn/dynamic_graph.h). The fold is *incremental*:
 // it never re-sorts the data graph. Untouched vertices' adjacency slices,
 // label runs, and NLF runs are block-copied from the base CSR; touched
 // vertices get their post-delta lists from the delta's linear three-way

@@ -1,7 +1,9 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "check/check.h"
@@ -117,10 +119,18 @@ Graph GraphBuilder::Build() && {
 
   // Effective degrees: a neighbor hypervertex w contributes mult(w) distinct
   // expanded neighbors; a self-loop contributes the other mult(v)-1 members.
+  // Each NLF count below is part of one of these sums, so bounding the
+  // degree bounds them too.
   g.effective_degree_.assign(n, 0);
   for (uint32_t v = 0; v < n; ++v) {
     uint64_t d = 0;
     for (VertexId w : g.Neighbors(v)) d += (w == v) ? mult(v) - 1 : mult(w);
+    if (d > std::numeric_limits<uint32_t>::max()) {
+      throw std::invalid_argument(
+          "vertex " + std::to_string(v) + " has effective degree " +
+          std::to_string(d) + " (the largest is " +
+          std::to_string(std::numeric_limits<uint32_t>::max()) + ")");
+    }
     g.effective_degree_[v] = static_cast<uint32_t>(d);
   }
 

@@ -490,9 +490,11 @@ bool QueryServer::HandleStats(int fd) {
   line += " cache_invalidations=" + std::to_string(cache.invalidations);
   line += " cache_bytes=" + std::to_string(cache.bytes);
   line += " cache_entries=" + std::to_string(cache.entries);
-  line += " epoch=" + std::to_string(dyn_.CurrentEpoch());
+  line += " epoch=" + std::to_string(dyn.epoch);
   line += " folds=" + std::to_string(dyn.folds);
   line += " compactions=" + std::to_string(dyn.compactions);
+  line += " compactions_abandoned=" +
+          std::to_string(dyn.compactions_abandoned);
   line += " epochs_retired=" + std::to_string(dyn.epochs_retired);
   line += " live_epochs=" + std::to_string(dyn.live_epochs);
   line += " active=" + std::to_string(scheduler_.ActiveQueries());

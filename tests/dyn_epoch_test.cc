@@ -1,15 +1,15 @@
-// Tests for the dynamic-graph epoch layer (ISSUE 10): the GraphDelta
-// overlay's merged adjacency against a std::set model, FoldDelta content
-// equality with a from-scratch rebuild, snapshot isolation across commits,
-// compaction gating on pinned epochs (the tsan lane's main prey), and
-// EpochRef misuse death tests.
+// Tests for the dynamic-graph epoch layer: the GraphDelta overlay's merged
+// adjacency against a std::set model, FoldDelta content equality with a
+// from-scratch rebuild, snapshot isolation across commits, snapshot
+// lifetime (a held snapshot outlives later commits, a compaction and the
+// DynamicGraph itself), the live-epoch gauges, and compaction installing
+// under a concurrent reader of an old epoch (the tsan lane's main prey).
 
 #include "dyn/dynamic_graph.h"
 
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <thread>
 #include <utility>
@@ -19,7 +19,6 @@
 
 #include "check/validate.h"
 #include "dyn/delta.h"
-#include "dyn/epoch.h"
 #include "dyn/fold.h"
 #include "gen/rng.h"
 #include "gen/synthetic.h"
@@ -31,8 +30,6 @@ namespace {
 using dyn::DirtyLabels;
 using dyn::DynamicGraph;
 using dyn::DynOptions;
-using dyn::EpochManager;
-using dyn::EpochRef;
 using dyn::FoldDelta;
 using dyn::GraphDelta;
 
@@ -331,8 +328,6 @@ TEST(DynamicGraphTest, SnapshotIsolationAcrossCommits) {
   dyn::Snapshot after = dg.Acquire();
   EXPECT_EQ(after.epoch(), 1u);
   EXPECT_TRUE(after.graph().HasEdge(1, 2));
-  before.ReleasePin();
-  after.ReleasePin();
 }
 
 TEST(DynamicGraphTest, StaleDeltaIsRejectedWholesale) {
@@ -349,7 +344,6 @@ TEST(DynamicGraphTest, StaleDeltaIsRejectedWholesale) {
   ASSERT_TRUE(error.has_value());
   EXPECT_NE(error->find("stale"), std::string::npos) << *error;
   // Nothing of the stale batch landed.
-  snap.ReleasePin();
   dyn::Snapshot now = dg.Acquire();
   EXPECT_FALSE(now.graph().HasEdge(0, 2));
   EXPECT_EQ(now.epoch(), 1u);
@@ -364,36 +358,76 @@ TEST(DynamicGraphTest, EmptyDeltaCommitsNothing) {
   EXPECT_EQ(dg.CurrentEpoch(), 0u);
 }
 
-TEST(DynamicGraphTest, CompactionWaitsForPinnedEpochs) {
+TEST(DynamicGraphTest, CompactionInstallsWhileOldSnapshotHeld) {
   // Manual compaction so the test controls exactly when the rebuild runs.
   DynamicGraph dg(SmallBase(42), DynOptions{0.0, false});
 
   dyn::Snapshot s0 = dg.Acquire();
+  const Graph g0 = s0.graph();  // copy: the expected content of epoch 0
   GraphDelta delta = dg.NewDelta(s0);
   ASSERT_TRUE(delta.AddVertex(2));
   ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
 
-  // Pin the *current* epoch, then pin the superseded one via s0 — the
-  // compactor must wait for every epoch older than its target.
-  dyn::Snapshot s1 = dg.Acquire();
-  std::atomic<bool> compacted{false};
-  std::thread compactor([&] {
-    EXPECT_TRUE(dg.CompactNow());
-    compacted.store(true, std::memory_order_release);
-  });
-
-  // While the old epoch stays pinned the compactor must not finish. A
-  // bounded sleep cannot prove "never", but with tsan on this lane any
-  // install racing the pinned reader would be flagged as well.
-  usleep(50'000);
-  EXPECT_FALSE(compacted.load(std::memory_order_acquire));
-  EXPECT_EQ(dg.Stats().compactions, 0u);
-
-  s0.ReleasePin();  // drain the old epoch: the rebuild may now install
+  // The compaction installs while s0 still holds epoch 0, and while this
+  // thread reads that graph (tsan on this lane watches the pair).
+  bool compacted = false;
+  std::thread compactor([&] { compacted = dg.CompactNow(); });
+  ExpectGraphsEqual(s0.graph(), g0);
   compactor.join();
-  EXPECT_TRUE(compacted.load());
-  EXPECT_EQ(dg.Stats().compactions, 1u);
-  s1.ReleasePin();
+  EXPECT_TRUE(compacted);
+
+  obs::DynCounters stats = dg.Stats();
+  EXPECT_EQ(stats.compactions, 1u);
+  EXPECT_EQ(stats.epoch, 2u);
+  EXPECT_EQ(stats.live_epochs, 2u);  // the current graph and s0's
+  EXPECT_EQ(dg.Acquire().epoch(), 2u);
+  EXPECT_EQ(s0.epoch(), 0u);
+  ExpectGraphsEqual(s0.graph(), g0);
+}
+
+TEST(DynamicGraphTest, LiveEpochsCountHeldSnapshots) {
+  DynamicGraph dg(MakeGraph({0, 1, 0, 1}, {{0, 1}}), DynOptions{0.0, false});
+  dyn::Snapshot s0 = dg.Acquire();
+  GraphDelta first = dg.NewDelta(s0);
+  ASSERT_TRUE(first.AddEdge(1, 2));
+  ASSERT_FALSE(dg.Apply(std::move(first)).has_value());
+  {
+    dyn::Snapshot s1 = dg.Acquire();
+    GraphDelta second = dg.NewDelta(s1);
+    ASSERT_TRUE(second.AddEdge(2, 3));
+    ASSERT_FALSE(dg.Apply(std::move(second)).has_value());
+  }
+
+  // Epoch 1's graph lost its last reader with s1; s0 still holds epoch 0.
+  obs::DynCounters held = dg.Stats();
+  EXPECT_EQ(held.epoch, 2u);
+  EXPECT_EQ(held.folds, 2u);
+  EXPECT_EQ(held.live_epochs, 2u);
+
+  s0 = dyn::Snapshot();
+  obs::DynCounters dropped = dg.Stats();
+  EXPECT_EQ(dropped.live_epochs, 1u);
+  EXPECT_EQ(dropped.epochs_retired, held.epochs_retired + 1);
+}
+
+TEST(DynamicGraphTest, SnapshotOutlivesDynamicGraph) {
+  dyn::Snapshot before;
+  dyn::Snapshot after;
+  {
+    DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}), DynOptions{0.0, true});
+    before = dg.Acquire();
+    GraphDelta delta = dg.NewDelta(before);
+    ASSERT_TRUE(delta.AddEdge(1, 2));
+    ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
+    after = dg.Acquire();
+  }
+  // Both graphs are still readable (ASan flags a read of freed memory).
+  EXPECT_EQ(before.epoch(), 0u);
+  EXPECT_EQ(before.graph().NumVertices(), 3u);
+  EXPECT_FALSE(before.graph().HasEdge(1, 2));
+  EXPECT_EQ(after.epoch(), 1u);
+  EXPECT_TRUE(after.graph().HasEdge(1, 2));
+  EXPECT_TRUE(after.graph().HasEdge(0, 1));
 }
 
 TEST(DynamicGraphTest, BackgroundCompactionTriggersOnChurn) {
@@ -404,7 +438,6 @@ TEST(DynamicGraphTest, BackgroundCompactionTriggersOnChurn) {
   ASSERT_TRUE(delta.AddVertex(1));
   ASSERT_TRUE(delta.AddVertex(3));
   ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
-  snap.ReleasePin();
 
   // The compactor runs asynchronously; poll until it lands.
   for (int i = 0; i < 500; ++i) {
@@ -414,68 +447,6 @@ TEST(DynamicGraphTest, BackgroundCompactionTriggersOnChurn) {
   }
   obs::DynCounters stats = dg.Stats();
   EXPECT_GE(stats.compactions + stats.compactions_abandoned, 1u);
-}
-
-TEST(EpochManagerTest, PinCountsAndDraining) {
-  EpochManager m;
-  EXPECT_EQ(m.current(), 0u);
-  EpochRef a = m.Pin();
-  EpochRef b = m.Pin();
-  EXPECT_EQ(m.PinCount(0), 2u);
-  EXPECT_EQ(m.Advance(), 1u);
-  EpochRef c = m.Pin();
-  EXPECT_EQ(c.epoch(), 1u);
-  EXPECT_EQ(m.PinnedAtOrBelow(0), 2u);
-  EXPECT_EQ(m.PinnedAtOrBelow(1), 3u);
-  a.Release();
-  b.Release();
-  EXPECT_EQ(m.PinnedAtOrBelow(0), 0u);
-  EXPECT_TRUE(m.WaitUntilDrained(0));  // already drained: returns at once
-  c.Release();
-}
-
-TEST(EpochManagerTest, CancelFailsParkedWaiters) {
-  EpochManager m;
-  EpochRef pin = m.Pin();
-  m.Advance();
-  std::atomic<bool> woke{false};
-  bool result = true;
-  std::thread waiter([&] {
-    result = m.WaitUntilDrained(0);  // parked: epoch 0 is pinned
-    woke.store(true, std::memory_order_release);
-  });
-  usleep(20'000);
-  EXPECT_FALSE(woke.load(std::memory_order_acquire));
-  m.Cancel();
-  waiter.join();
-  EXPECT_FALSE(result);  // cancelled, not drained
-  pin.Release();
-}
-
-// ---- misuse death tests -------------------------------------------------
-
-TEST(EpochDeathTest, DoubleReleaseDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        EpochManager m;
-        EpochRef ref = m.Pin();
-        ref.Release();
-        ref.Release();
-      },
-      "");
-}
-
-TEST(EpochDeathTest, LeakedPinAtManagerDestructionDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        auto* m = new EpochManager;
-        EpochRef leaked = m->Pin();
-        delete m;  // dies: a pin is still outstanding
-        leaked.Release();
-      },
-      "");
 }
 
 }  // namespace

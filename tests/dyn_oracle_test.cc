@@ -9,8 +9,9 @@
 // spirit of cfl_difftest.
 //
 // The main sweep commits 200 seeded batches (50 trials x 4 batches); a
-// second suite re-runs a smaller sweep under aggressive compaction with a
-// pinned old epoch, locking in engine-level snapshot isolation.
+// second suite re-runs a smaller sweep under aggressive background
+// compaction while an old epoch's snapshot is held, locking in
+// engine-level snapshot isolation.
 
 #include <algorithm>
 #include <functional>
@@ -327,7 +328,6 @@ TEST(DynOracleTest, TwoHundredSeededBatchesAcrossEngines) {
         ASSERT_TRUE(ApplyToDelta(op, &delta)) << delta.error();
       }
       ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
-      snap.ReleasePin();
 
       dyn::Snapshot now = dg.Acquire();
       const Graph& folded = now.graph();
@@ -340,7 +340,6 @@ TEST(DynOracleTest, TwoHundredSeededBatchesAcrossEngines) {
       if (!CheckBatch(before, ops, folded, rebuilt, queries, seed, batch)) {
         return;  // one shrunk reproducer is worth more than a cascade
       }
-      now.ReleasePin();
     }
   }
 }
@@ -354,8 +353,9 @@ TEST(DynOracleTest, OracleHoldsUnderAggressiveCompactionAndPinnedEpochs) {
     const uint64_t seed = 9000 + trial;
     Graph base = OracleBase(seed);
     Model model(base);
-    // Any churn triggers the background compactor; while `pinned` is held
-    // it must park, not install (tsan on this lane watches the dance).
+    // Any churn triggers the background compactor, which rebuilds and
+    // installs while `pinned` still holds epoch 0 (tsan on this lane
+    // watches the compactor against the readers).
     DynamicGraph dg(base, DynOptions{0.001, true});
     Rng rng(seed * 17 + 3);
 
@@ -367,16 +367,22 @@ TEST(DynOracleTest, OracleHoldsUnderAggressiveCompactionAndPinnedEpochs) {
     }
 
     for (uint32_t batch = 0; batch < kBatches; ++batch) {
-      dyn::Snapshot snap = dg.Acquire();
       std::vector<Op> ops =
-          GenerateBatch(rng, &model, 8, snap.graph().NumVertices());
-      GraphDelta delta = dg.NewDelta(snap);
-      for (const Op& op : ops) {
-        ASSERT_TRUE(ApplyToDelta(op, &delta)) << delta.error();
+          GenerateBatch(rng, &model, 8, dg.Acquire().graph().NumVertices());
+      // A compaction installing between Acquire and Apply makes the delta
+      // stale; like the server, rebuild it on the new epoch and retry (a
+      // compaction keeps the logical graph, so the ops stay valid).
+      std::optional<std::string> error;
+      for (int attempt = 0; attempt < 8; ++attempt) {
+        dyn::Snapshot snap = dg.Acquire();
+        GraphDelta delta = dg.NewDelta(snap);
+        for (const Op& op : ops) {
+          ASSERT_TRUE(ApplyToDelta(op, &delta)) << delta.error();
+        }
+        error = dg.Apply(std::move(delta));
+        if (!error.has_value()) break;
       }
-      std::optional<std::string> error = dg.Apply(std::move(delta));
       ASSERT_FALSE(error.has_value()) << *error;
-      snap.ReleasePin();
 
       dyn::Snapshot now = dg.Acquire();
       Graph rebuilt = model.Rebuild();
@@ -385,7 +391,6 @@ TEST(DynOracleTest, OracleHoldsUnderAggressiveCompactionAndPinnedEpochs) {
                   CountOn(Engines()[0], rebuilt, q))
             << "seed " << seed << " batch " << batch;
       }
-      now.ReleasePin();
     }
 
     // The pinned epoch still answers exactly as before any batch landed.
@@ -394,10 +399,9 @@ TEST(DynOracleTest, OracleHoldsUnderAggressiveCompactionAndPinnedEpochs) {
                 pinned_counts[i])
           << "snapshot isolation broken (seed " << seed << ")";
     }
-    pinned.ReleasePin();
 
-    // Drained now: force a synchronous compaction and re-verify against
-    // the rebuild — the compacted epoch must be answer-identical too.
+    // Force a synchronous compaction and re-verify against the rebuild —
+    // the compacted epoch must be answer-identical too.
     dg.CompactNow();
     dyn::Snapshot compacted = dg.Acquire();
     Graph rebuilt = model.Rebuild();
@@ -406,7 +410,6 @@ TEST(DynOracleTest, OracleHoldsUnderAggressiveCompactionAndPinnedEpochs) {
                 CountOn(Engines()[0], rebuilt, q))
           << "post-compaction divergence (seed " << seed << ")";
     }
-    compacted.ReleasePin();
   }
 }
 

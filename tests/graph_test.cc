@@ -455,6 +455,11 @@ TEST(GraphIoTest, MalformedInputs) {
   Graph g = ReadGraph(ok);
   EXPECT_EQ(g.multiplicity(1), 4294967295u);
   EXPECT_EQ(g.degree(0), 4294967295u);
+  // Two such neighbors put vertex 0's effective degree past 2^32-1; it used
+  // to wrap to 4294967294.
+  std::stringstream wide(
+      "t 3 2\nv 0 0\nv 1 1 4294967295\nv 2 1 4294967295\ne 0 1\ne 0 2\n");
+  EXPECT_THROW(ReadGraph(wide), std::invalid_argument);
 }
 
 TEST(InducedSubgraphTest, ExtractsVertexInducedEdges) {
