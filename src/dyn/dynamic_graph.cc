@@ -1,5 +1,6 @@
 #include "dyn/dynamic_graph.h"
 
+#include <string>
 #include <utility>
 
 #include "check/check.h"
@@ -31,14 +32,15 @@ Epoch DynamicGraph::CurrentEpoch() {
 std::optional<std::string> DynamicGraph::Apply(
     GraphDelta&& delta, ApplyResult* result,
     const std::function<void(const DirtyLabels&, Epoch)>& on_commit) {
+  static constexpr char kStale[] =
+      "stale delta: the base snapshot is no longer current "
+      "(re-acquire and rebuild the batch)";
   delta.Seal();
-  bool schedule = false;
   {
+    // Cheap early outs: a delta that is already stale is not worth
+    // folding, and an empty one commits nothing.
     MutexLock lock(mu_);
-    if (&delta.base() != current_.get()) {
-      return "stale delta: the base snapshot is no longer current "
-             "(re-acquire and rebuild the batch)";
-    }
+    if (&delta.base() != current_.get()) return kStale;
     if (delta.empty()) {
       if (result != nullptr) {
         *result = {};
@@ -46,8 +48,24 @@ std::optional<std::string> DynamicGraph::Apply(
       }
       return std::nullopt;
     }
-    DirtyLabels dirty;
-    InstallLocked(FoldDelta(*current_, delta, &dirty));
+  }
+
+  // The fold, off the lock: the base graph is immutable, and the caller's
+  // snapshot keeps it alive until Apply returns. Readers and other writers
+  // proceed meanwhile.
+  DirtyLabels dirty;
+  auto next =
+      std::make_shared<const Graph>(FoldDelta(delta.base(), delta, &dirty));
+  if (after_fold_for_test_) after_fold_for_test_();
+
+  bool schedule = false;
+  {
+    MutexLock lock(mu_);
+    // A commit that landed during the fold makes this one stale: it has
+    // folded in vain, and the caller replays.
+    if (&delta.base() != current_.get()) return kStale;
+    if (on_commit != nullptr) on_commit(dirty, counters_.epoch + 1);
+    InstallLocked(std::move(next));
 
     counters_.folds++;
     counters_.vertices_added += delta.AddedVertices();
@@ -63,8 +81,6 @@ std::optional<std::string> DynamicGraph::Apply(
       compaction_scheduled_ = true;
       schedule = true;
     }
-
-    if (on_commit != nullptr) on_commit(dirty, counters_.epoch);
     if (result != nullptr) {
       result->epoch = counters_.epoch;
       result->dirty = std::move(dirty);
@@ -84,6 +100,29 @@ std::optional<std::string> DynamicGraph::Apply(
   return std::nullopt;
 }
 
+std::optional<std::string> DynamicGraph::Commit(
+    const std::function<bool(GraphDelta&)>& record, ApplyResult* result,
+    const std::function<void(const DirtyLabels&, Epoch)>& on_commit) {
+  MutexLock writer(writer_mu_);
+  for (int attempt = 0; attempt < kCommitAttempts; ++attempt) {
+    if (result != nullptr) result->replays = attempt;
+    Snapshot snapshot = Acquire();
+    GraphDelta delta = NewDelta(snapshot);
+    if (!record(delta)) return "update rejected: " + delta.error();
+    ApplyResult applied;
+    if (!Apply(std::move(delta), &applied, on_commit).has_value()) {
+      if (result != nullptr) {
+        applied.replays = attempt;
+        *result = std::move(applied);
+      }
+      return std::nullopt;
+    }
+  }
+  if (result != nullptr) result->replays = kCommitAttempts;
+  return "update failed: lost the commit race " +
+         std::to_string(kCommitAttempts) + " times";
+}
+
 obs::DynCounters DynamicGraph::Stats() {
   MutexLock lock(mu_);
   PruneSupersededLocked();
@@ -100,7 +139,8 @@ bool DynamicGraph::CompactNow() {
     target = counters_.epoch;
     snapshot = current_;
   }
-  Graph rebuilt = Rebuild(*snapshot);  // off-lock: the expensive part
+  // Off-lock: the expensive part.
+  auto rebuilt = std::make_shared<const Graph>(Rebuild(*snapshot));
 
   MutexLock lock(mu_);
   if (counters_.epoch != target) {
@@ -115,9 +155,9 @@ bool DynamicGraph::CompactNow() {
   return true;
 }
 
-void DynamicGraph::InstallLocked(Graph next) {
+void DynamicGraph::InstallLocked(std::shared_ptr<const Graph> next) {
   superseded_.push_back(current_);
-  current_ = std::make_shared<const Graph>(std::move(next));
+  current_ = std::move(next);
   counters_.epoch++;
   PruneSupersededLocked();
 }

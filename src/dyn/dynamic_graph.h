@@ -11,11 +11,17 @@
 // nothing waits for readers.
 //
 // Writer path (`Apply`): seal the delta, fold it into a fresh CSR
-// (dyn/fold.h) under the graph mutex, install it as the next epoch, and
-// report the fold's DirtyLabels so the serve layer can invalidate exactly
-// the affected cached plans. A delta built against a snapshot that is no
-// longer current is rejected as stale — the caller re-acquires and
-// rebuilds its delta (serve/server.cc does this with a bounded retry).
+// (dyn/fold.h) with no lock held — the base snapshot is immutable — then,
+// under the graph mutex, only check that the base is still current, run
+// the commit hook and install the fold as the next epoch. The fold's
+// DirtyLabels let the serve layer invalidate exactly the affected cached
+// plans. Readers never wait for a fold: the mutex guards a pointer swap.
+// A delta built against a snapshot that is no longer current — including
+// one whose base was superseded while it folded — is rejected as stale;
+// the caller re-acquires and rebuilds its delta. `Commit` is that replay
+// loop, bounded, and the serve layer's UPDATE path: it also serializes
+// its callers, because of two writers folding side by side only one can
+// install, and the other's fold is wasted.
 //
 // Compaction: folds are incremental and never re-sort, so after enough
 // churn the snapshot drifts from what a from-scratch build would choose
@@ -27,9 +33,10 @@
 // (otherwise the work is abandoned and recounted). Readers of older epochs
 // keep their own graphs; the rebuild does not wait for them.
 //
-// Lock hierarchy (DESIGN.md §9): mu_ is level 22, the lowest level in the
-// process — below the plan cache's (30), so Apply's graph -> cache (commit
-// hook) chain ascends. Callers hold no lock when they call in.
+// Lock hierarchy (DESIGN.md §9): writer_mu_ is level 21 and mu_ level 22,
+// the lowest levels in the process — below the plan cache's (30), so
+// Commit's writer -> graph -> cache (commit hook) chain ascends. Callers
+// hold no lock when they call in.
 
 #ifndef CFL_DYN_DYNAMIC_GRAPH_H_
 #define CFL_DYN_DYNAMIC_GRAPH_H_
@@ -47,6 +54,10 @@
 #include "graph/graph.h"
 #include "obs/dyn_counters.h"
 #include "parallel/task_pool.h"
+
+namespace cfl {
+struct DynamicGraphTestAccess;  // tests/dyn_epoch_test.cc
+}  // namespace cfl
 
 namespace cfl::dyn {
 
@@ -87,6 +98,7 @@ struct ApplyResult {
   uint32_t removed_vertices = 0;
   uint64_t added_edges = 0;
   uint64_t removed_edges = 0;
+  uint32_t replays = 0;      // Commit only: attempts that came back stale
 };
 
 class DynamicGraph {
@@ -106,15 +118,16 @@ class DynamicGraph {
     return GraphDelta(snapshot.graph());
   }
 
-  // Commits one batch: seals, folds, advances the epoch. Returns an error
-  // string when the delta is stale (bound to a superseded snapshot) — the
-  // caller should re-acquire and rebuild — or nullopt on success with
-  // `result` (optional) filled. An empty delta commits nothing and reports
-  // the current epoch.
+  // Commits one batch: seals, folds (off the lock), advances the epoch.
+  // Returns an error string when the delta is stale (bound to a superseded
+  // snapshot, before or after the fold) — the caller should re-acquire and
+  // rebuild — or nullopt on success with `result` (optional) filled. An
+  // empty delta commits nothing and reports the current epoch.
   //
   // `on_commit`, when given, runs *inside* the commit's critical section,
-  // after the new epoch exists but before any Acquire can observe it, with
-  // the batch's dirty labels and the new epoch. The serve layer invalidates
+  // just before the new epoch is installed, so no Acquire can observe the
+  // epoch before the hook has run. It gets the batch's dirty labels and
+  // the epoch the batch is committed as. The serve layer invalidates
   // its plan cache here: a query that later acquires the new epoch can then
   // never hit a plan the batch dirtied (invalidation strictly precedes
   // visibility), and the cache refuses plans prepared before this epoch
@@ -125,6 +138,24 @@ class DynamicGraph {
       GraphDelta&& delta, ApplyResult* result = nullptr,
       const std::function<void(const DirtyLabels&, Epoch)>& on_commit =
           nullptr) CFL_EXCLUDES(mu_);
+
+  // Attempts Commit makes before it reports a lost race.
+  static constexpr int kCommitAttempts = 8;
+
+  // Commits the batch `record` stages, replaying it while it comes back
+  // stale: each attempt acquires the current snapshot, lets `record` stage
+  // the batch's ops on a delta against it, and Applies the delta (with
+  // `on_commit`, as above). Commits run one at a time, so they never make
+  // each other stale; only a compaction or a direct Apply landing
+  // mid-commit costs a replay. Returns nullopt on success, with `result`
+  // filled as by Apply, or the reason for failure: `record` returned false
+  // ("update rejected: " and the delta's error; nothing is applied), or
+  // kCommitAttempts attempts came back stale. `result->replays` counts the
+  // stale attempts either way.
+  std::optional<std::string> Commit(
+      const std::function<bool(GraphDelta&)>& record, ApplyResult* result,
+      const std::function<void(const DirtyLabels&, Epoch)>& on_commit =
+          nullptr) CFL_EXCLUDES(writer_mu_, mu_);
 
   Epoch CurrentEpoch() CFL_EXCLUDES(mu_);
 
@@ -137,8 +168,10 @@ class DynamicGraph {
   bool CompactNow() CFL_EXCLUDES(mu_);
 
  private:
+  friend struct cfl::DynamicGraphTestAccess;
+
   // Makes `next` the current snapshot of a new epoch.
-  void InstallLocked(Graph next) CFL_REQUIRES(mu_);
+  void InstallLocked(std::shared_ptr<const Graph> next) CFL_REQUIRES(mu_);
 
   // Forgets superseded snapshots no reader holds any more.
   void PruneSupersededLocked() CFL_REQUIRES(mu_);
@@ -149,6 +182,12 @@ class DynamicGraph {
 
   const DynOptions options_;
 
+  // Test seam (DynamicGraphTestAccess): when set, Apply calls it on the
+  // writer's thread between the fold and the install, with no lock held.
+  std::function<void()> after_fold_for_test_;
+
+  // Serializes Commit calls; held across a whole commit, fold included.
+  Mutex writer_mu_ CFL_LOCK_LEVEL(21);
   Mutex mu_ CFL_LOCK_LEVEL(22);
   std::shared_ptr<const Graph> current_ CFL_GUARDED_BY(mu_);
   // Superseded snapshots, held weakly: only the live_epochs gauge reads

@@ -3,11 +3,16 @@
 // Each committed batch produces a brand-new immutable `Graph` — the next
 // epoch's snapshot — while queries on older epochs keep reading their own
 // instances untouched (dyn/dynamic_graph.h). The fold is *incremental*:
-// it never re-sorts the data graph. Untouched vertices' adjacency slices,
-// label runs, and NLF runs are block-copied from the base CSR; touched
-// vertices get their post-delta lists from the delta's linear three-way
-// merge (base run ∪ added − removed, already (label, id)-ordered). Derived
-// structures are rewritten only where they can change:
+// it never re-sorts the data graph. It walks the delta's sorted touched
+// list once: each maximal run of untouched vertices between two touched
+// ids is block-copied from the base CSR — one insert each into the
+// adjacency, label-run and NLF arrays, its offsets the base offsets plus
+// a constant shift — and each touched vertex takes its post-delta list
+// from the delta's linear three-way merge (base run ∪ added − removed,
+// already (label, id)-ordered). The touched vertices are merged before
+// the walk, so every array is reserved to its final size: a folded graph
+// allocates exactly what GraphBuilder would. Derived structures are
+// rewritten only where they can change:
 //
 //   * degrees / NLF: touched vertices only,
 //   * max-neighbor-degree: touched vertices plus their new neighbors (a
@@ -30,6 +35,10 @@
 //
 // FoldDelta also reports the delta's DirtyLabels (delta.h): the exact label
 // set the serve layer uses to invalidate cached plans.
+//
+// FoldDelta reads only `base` and the sealed delta and takes no lock, so
+// DynamicGraph::Apply runs it before it takes the graph mutex: readers
+// and the fold of one commit never wait for each other.
 
 #ifndef CFL_DYN_FOLD_H_
 #define CFL_DYN_FOLD_H_

@@ -400,72 +400,64 @@ bool QueryServer::HandleUpdate(int fd, LineReader& reader) {
     ops.push_back(*op);
   }
 
-  // Optimistic commit with bounded replay: another session's UPDATE or the
-  // background compactor can commit between our Acquire and Apply, and
-  // Apply then rejects the delta as stale. Each lost race is another
-  // batch's commit, and rebuilding a small op batch is cheap; lose eight
-  // times in a row and report failure.
-  static constexpr int kMaxAttempts = 8;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    dyn::Snapshot snapshot = dyn_.Acquire();
-    dyn::GraphDelta delta = dyn_.NewDelta(snapshot);
-    for (const UpdateOp& op : ops) {
-      bool ok = true;
-      switch (op.kind) {
-        case UpdateOp::Kind::kAddVertex:
-          ok = delta.AddVertex(static_cast<Label>(op.u));
-          break;
-        case UpdateOp::Kind::kRemoveVertex:
-          ok = delta.RemoveVertex(op.u);
-          break;
-        case UpdateOp::Kind::kAddEdge:
-          ok = delta.AddEdge(op.u, op.v);
-          break;
-        case UpdateOp::Kind::kRemoveEdge:
-          ok = delta.RemoveEdge(op.u, op.v);
-          break;
-      }
-      if (!ok) {
-        // Whole-batch rejection: nothing of a bad batch is applied.
-        CountError();
-        return WriteAll(fd, "ERR update rejected: " + delta.error() + "\n");
-      }
-    }
-
-    // The on_commit hook invalidates affected plans, and records the
-    // commit's epoch against their labels, before the new epoch is visible
-    // to any Acquire (see PlanCache::Insert for the racing-insert half).
-    dyn::ApplyResult result;
-    uint64_t invalidated = 0;
-    std::optional<std::string> stale =
-        dyn_.Apply(std::move(delta), &result,
-                   [&](const dyn::DirtyLabels& dirty, dyn::Epoch epoch) {
-                     invalidated = cache_.InvalidateLabels(dirty, epoch);
-                   });
-    if (stale.has_value()) {
-      MutexLock lock(counter_mu_);
-      ++counters_.update_retries;
-      continue;
-    }
-
-    UpdateOutcome outcome;
-    outcome.epoch = result.epoch;
-    outcome.added_vertices = result.added_vertices;
-    outcome.removed_vertices = result.removed_vertices;
-    outcome.added_edges = result.added_edges;
-    outcome.removed_edges = result.removed_edges;
-    outcome.dirty_labels = static_cast<uint32_t>(result.dirty.labels.size());
-    outcome.invalidated = invalidated;
-    outcome.retained = cache_.Stats().entries;
-    {
-      MutexLock lock(counter_mu_);
-      ++counters_.updates;
-    }
-    return WriteAll(fd, FormatUpdatedLine(outcome) + "\n");
+  // Commit with bounded replay (DynamicGraph::Commit): a compaction can
+  // install between the commit's Acquire and its Apply, and the batch is
+  // then rebuilt on the fresh snapshot. The on_commit hook invalidates
+  // affected plans, and records the commit's epoch against their labels,
+  // before the new epoch is visible to any Acquire (see PlanCache::Insert
+  // for the racing-insert half).
+  dyn::ApplyResult result;
+  uint64_t invalidated = 0;
+  std::optional<std::string> error = dyn_.Commit(
+      [&](dyn::GraphDelta& delta) {
+        for (const UpdateOp& op : ops) {
+          bool ok = true;
+          switch (op.kind) {
+            case UpdateOp::Kind::kAddVertex:
+              ok = delta.AddVertex(static_cast<Label>(op.u));
+              break;
+            case UpdateOp::Kind::kRemoveVertex:
+              ok = delta.RemoveVertex(op.u);
+              break;
+            case UpdateOp::Kind::kAddEdge:
+              ok = delta.AddEdge(op.u, op.v);
+              break;
+            case UpdateOp::Kind::kRemoveEdge:
+              ok = delta.RemoveEdge(op.u, op.v);
+              break;
+          }
+          // Whole-batch rejection: nothing of a bad batch is applied.
+          if (!ok) return false;
+        }
+        return true;
+      },
+      &result,
+      [&](const dyn::DirtyLabels& dirty, dyn::Epoch epoch) {
+        invalidated = cache_.InvalidateLabels(dirty, epoch);
+      });
+  if (result.replays > 0) {
+    MutexLock lock(counter_mu_);
+    counters_.update_retries += result.replays;
   }
-  CountError();
-  return WriteAll(fd, "ERR update failed: lost the commit race " +
-                          std::to_string(kMaxAttempts) + " times\n");
+  if (error.has_value()) {
+    CountError();
+    return WriteAll(fd, "ERR " + *error + "\n");
+  }
+
+  UpdateOutcome outcome;
+  outcome.epoch = result.epoch;
+  outcome.added_vertices = result.added_vertices;
+  outcome.removed_vertices = result.removed_vertices;
+  outcome.added_edges = result.added_edges;
+  outcome.removed_edges = result.removed_edges;
+  outcome.dirty_labels = static_cast<uint32_t>(result.dirty.labels.size());
+  outcome.invalidated = invalidated;
+  outcome.retained = cache_.Stats().entries;
+  {
+    MutexLock lock(counter_mu_);
+    ++counters_.updates;
+  }
+  return WriteAll(fd, FormatUpdatedLine(outcome) + "\n");
 }
 
 bool QueryServer::HandleStats(int fd) {

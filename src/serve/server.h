@@ -88,8 +88,9 @@ struct ServerCounters {
   uint64_t queries = 0;        // QUERY requests completed
   uint64_t stream_queries = 0;
   uint64_t updates = 0;        // UPDATE batches committed
-  // UPDATE commit attempts that lost the race to a concurrent batch and
-  // were replayed against the fresh snapshot.
+  // UPDATE commit attempts that came back stale and were replayed against
+  // the fresh snapshot (DynamicGraph::Commit serializes UPDATEs, so only a
+  // compaction installing mid-commit causes one).
   uint64_t update_retries = 0;
   uint64_t errors = 0;         // ERR responses sent
   uint64_t connections = 0;

@@ -1,16 +1,24 @@
 // Tests for the dynamic-graph epoch layer: the GraphDelta overlay's merged
 // adjacency against a std::set model, FoldDelta content equality with a
-// from-scratch rebuild, snapshot isolation across commits, snapshot
-// lifetime (a held snapshot outlives later commits, a compaction and the
-// DynamicGraph itself), the live-epoch gauges, and compaction installing
-// under a concurrent reader of an old epoch (the tsan lane's main prey).
+// from-scratch rebuild (random batches, the block copy's boundary batches,
+// and byte-exact sizing over a chain of folds), snapshot isolation across
+// commits, snapshot lifetime (a held snapshot outlives later commits, a
+// compaction and the DynamicGraph itself), the live-epoch gauges, readers
+// and writers racing a fold that runs off the graph lock, and compaction
+// installing under a concurrent reader of an old epoch (the tsan lane's
+// main prey).
 
 #include "dyn/dynamic_graph.h"
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
+#include <mutex>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,6 +33,28 @@
 #include "graph/graph_builder.h"
 
 namespace cfl {
+
+// The DynamicGraph seam these tests use (a friend of DynamicGraph).
+struct DynamicGraphTestAccess {
+  // Runs `hook` in every later Apply, on the writer's thread, after the
+  // fold and before the install. Set it before any Apply.
+  static void SetAfterFoldHook(dyn::DynamicGraph& dg,
+                               std::function<void()> hook) {
+    dg.after_fold_for_test_ = std::move(hook);
+  }
+  // True iff no thread holds the graph mutex now. The probe runs on a
+  // thread of its own, so the caller may hold the mutex.
+  static bool MutexFree(dyn::DynamicGraph& dg) {
+    bool free = false;
+    std::thread probe([&] {
+      free = dg.mu_.TryLock();
+      if (free) dg.mu_.Unlock();
+    });
+    probe.join();
+    return free;
+  }
+};
+
 namespace {
 
 using dyn::DirtyLabels;
@@ -307,6 +337,173 @@ TEST(FoldDeltaTest, TombstonesKeepLabelAndLoseEdges) {
   EXPECT_TRUE(std::find(l1.begin(), l1.end(), 1u) != l1.end());
 }
 
+// ---- the block copy's boundaries ----------------------------------------
+//
+// The fold block-copies each maximal run of untouched base vertices and
+// merges the touched ones. Each batch below puts a touched vertex where a
+// run is empty or ends: first, last, adjacent, everywhere, or nowhere in
+// the base.
+
+// Folds the batch `ops` records (on both the delta and the model) over
+// `base`. The fold must validate, equal the model's from-scratch rebuild
+// in content and in allocated bytes, and have touched `touched`.
+template <typename Ops>
+void ExpectFoldMatchesRebuild(const Graph& base, Ops ops,
+                              const std::vector<VertexId>& touched) {
+  Model model(base);
+  GraphDelta delta(base);
+  ops(&delta, &model);
+  delta.Seal();
+  EXPECT_EQ(std::vector<VertexId>(delta.Touched().begin(),
+                                  delta.Touched().end()),
+            touched);
+  Graph folded = FoldDelta(base, delta);
+  ValidationResult valid = ValidateGraph(folded);
+  ASSERT_TRUE(valid.ok) << valid.error;
+  Graph rebuilt = model.Rebuild();
+  ExpectGraphsEqual(folded, rebuilt);
+  EXPECT_EQ(folded.MemoryBytes(), rebuilt.MemoryBytes());
+}
+
+void AddEdge(GraphDelta* delta, Model* model, VertexId u, VertexId v) {
+  ASSERT_TRUE(delta->AddEdge(u, v)) << delta->error();
+  model->AddEdge(u, v);
+}
+
+void RemoveEdge(GraphDelta* delta, Model* model, VertexId u, VertexId v) {
+  ASSERT_TRUE(delta->RemoveEdge(u, v)) << delta->error();
+  model->RemoveEdge(u, v);
+}
+
+// Labels and edges of a path 0 - 1 - ... - (n-1) with an isolated vertex
+// at `isolated`, so a tombstone there touches exactly that vertex.
+Graph PathWithIsolatedVertex(uint32_t n, VertexId isolated) {
+  std::vector<Label> labels(n);
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  VertexId prev = kInvalidVertex;
+  for (VertexId v = 0; v < n; ++v) {
+    labels[v] = v % 3;
+    if (v == isolated) continue;
+    if (prev != kInvalidVertex) edges.emplace_back(prev, v);
+    prev = v;
+  }
+  return MakeGraph(labels, edges);
+}
+
+TEST(FoldDeltaTest, BatchTouchingOnlyTheFirstVertex) {
+  Graph base = PathWithIsolatedVertex(12, 0);
+  ExpectFoldMatchesRebuild(
+      base,
+      [](GraphDelta* delta, Model* model) {
+        ASSERT_TRUE(delta->RemoveVertex(0));
+        model->RemoveVertex(0);
+      },
+      {0});
+  // With an adjacency change: vertex 0 gains its first edge.
+  ExpectFoldMatchesRebuild(
+      base,
+      [](GraphDelta* delta, Model* model) { AddEdge(delta, model, 0, 1); },
+      {0, 1});
+}
+
+TEST(FoldDeltaTest, BatchTouchingOnlyTheLastVertex) {
+  Graph base = PathWithIsolatedVertex(12, 11);
+  ExpectFoldMatchesRebuild(
+      base,
+      [](GraphDelta* delta, Model* model) {
+        ASSERT_TRUE(delta->RemoveVertex(11));
+        model->RemoveVertex(11);
+      },
+      {11});
+  ExpectFoldMatchesRebuild(
+      base,
+      [](GraphDelta* delta, Model* model) { AddEdge(delta, model, 10, 11); },
+      {10, 11});
+}
+
+TEST(FoldDeltaTest, BatchTouchingAdjacentIds) {
+  Graph base = SmallBase(300);
+  ExpectFoldMatchesRebuild(
+      base,
+      [](GraphDelta* delta, Model* model) {
+        // Toggle the edges of the chain 20 - 21 - 22 - 23 and of 40 - 41.
+        for (auto [u, v] : {std::pair<VertexId, VertexId>{20, 21},
+                            {21, 22}, {22, 23}, {40, 41}}) {
+          if (model->HasEdge(u, v)) {
+            RemoveEdge(delta, model, u, v);
+          } else {
+            AddEdge(delta, model, u, v);
+          }
+        }
+      },
+      {20, 21, 22, 23, 40, 41});
+}
+
+TEST(FoldDeltaTest, BatchTouchingEveryVertex) {
+  Graph base = SmallBase(301);
+  const uint32_t n = base.NumVertices();
+  std::vector<VertexId> all(n + 1);
+  for (VertexId v = 0; v <= n; ++v) all[v] = v;
+  ExpectFoldMatchesRebuild(
+      base,
+      [n](GraphDelta* delta, Model* model) {
+        // A new vertex adjacent to every base vertex.
+        VertexId hub = kInvalidVertex;
+        ASSERT_TRUE(delta->AddVertex(1, &hub));
+        ASSERT_EQ(hub, model->AddVertex(1));
+        for (VertexId v = 0; v < n; ++v) AddEdge(delta, model, hub, v);
+      },
+      all);
+}
+
+TEST(FoldDeltaTest, BatchThatOnlyAddsVertices) {
+  Graph base = SmallBase(302);
+  const uint32_t n = base.NumVertices();
+  ExpectFoldMatchesRebuild(
+      base,
+      [](GraphDelta* delta, Model* model) {
+        // Label 9 extends the label space.
+        for (Label l : {Label{2}, Label{9}, Label{0}}) {
+          ASSERT_TRUE(delta->AddVertex(l));
+          model->AddVertex(l);
+        }
+      },
+      {n, n + 1, n + 2});
+}
+
+TEST(FoldDeltaTest, TombstoneAtVertexZero) {
+  Graph base = SmallBase(303);
+  ASSERT_GT(base.StructuralDegree(0), 0u);
+  std::vector<VertexId> touched{0};
+  for (VertexId w : base.Neighbors(0)) touched.push_back(w);
+  std::sort(touched.begin(), touched.end());
+  ExpectFoldMatchesRebuild(
+      base,
+      [](GraphDelta* delta, Model* model) {
+        ASSERT_TRUE(delta->RemoveVertex(0));
+        model->RemoveVertex(0);
+      },
+      touched);
+}
+
+// The fold reserves every array to its final size, so a chain of folds
+// allocates exactly what a from-scratch build of the same graph does.
+TEST(FoldDeltaTest, FoldChainAllocatesLikeAFreshBuild) {
+  Graph g = SmallBase(304, 200);
+  Model model(g);
+  Rng rng(305);
+  for (int step = 0; step < 20; ++step) {
+    GraphDelta delta(g);
+    Mutate(rng, 25, &delta, &model);
+    delta.Seal();
+    Graph folded = FoldDelta(g, delta);
+    g = std::move(folded);
+  }
+  Graph rebuilt = model.Rebuild();
+  ExpectGraphsEqual(g, rebuilt);
+  EXPECT_EQ(g.MemoryBytes(), rebuilt.MemoryBytes());
+}
+
 // ---- snapshots and epochs -----------------------------------------------
 
 TEST(DynamicGraphTest, SnapshotIsolationAcrossCommits) {
@@ -356,6 +553,217 @@ TEST(DynamicGraphTest, EmptyDeltaCommitsNothing) {
   ASSERT_FALSE(dg.Apply(dg.NewDelta(snap), &result).has_value());
   EXPECT_EQ(result.epoch, 0u);
   EXPECT_EQ(dg.CurrentEpoch(), 0u);
+}
+
+// The fold runs off the graph mutex: a reader that arrives while a commit
+// has folded but not yet installed gets the old epoch at once.
+TEST(DynamicGraphTest, AcquireDoesNotWaitForAFold) {
+  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}), DynOptions{0.0, false});
+  bool mutex_free = false;
+  dyn::Epoch seen = 99;
+  bool saw_edge = true;
+  DynamicGraphTestAccess::SetAfterFoldHook(dg, [&] {
+    std::thread reader([&] {
+      mutex_free = DynamicGraphTestAccess::MutexFree(dg);
+      if (!mutex_free) return;  // Acquire would wait for the install
+      dyn::Snapshot snap = dg.Acquire();
+      seen = snap.epoch();
+      saw_edge = snap.graph().HasEdge(1, 2);
+    });
+    reader.join();
+  });
+
+  dyn::Snapshot s0 = dg.Acquire();
+  GraphDelta delta = dg.NewDelta(s0);
+  ASSERT_TRUE(delta.AddEdge(1, 2));
+  ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
+  EXPECT_TRUE(mutex_free);
+  EXPECT_EQ(seen, 0u);
+  EXPECT_FALSE(saw_edge);
+  dyn::Snapshot s1 = dg.Acquire();
+  EXPECT_EQ(s1.epoch(), 1u);
+  EXPECT_TRUE(s1.graph().HasEdge(1, 2));
+}
+
+// A commit that lands while another writer folds makes that writer's fold
+// stale: it installs nothing, and the winner's epoch stands.
+TEST(DynamicGraphTest, CommitDuringAFoldMakesItStale) {
+  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}), DynOptions{0.0, false});
+  bool raced = false;
+  std::optional<std::string> winner_error = "not run";
+  DynamicGraphTestAccess::SetAfterFoldHook(dg, [&] {
+    if (raced) return;  // the winner's own commit
+    raced = true;
+    // A commit from here would deadlock if the loser held the mutex.
+    ASSERT_TRUE(DynamicGraphTestAccess::MutexFree(dg));
+    dyn::Snapshot snap = dg.Acquire();
+    GraphDelta winner = dg.NewDelta(snap);
+    ASSERT_TRUE(winner.AddEdge(0, 2));
+    winner_error = dg.Apply(std::move(winner));
+  });
+
+  dyn::Snapshot s0 = dg.Acquire();
+  GraphDelta loser = dg.NewDelta(s0);
+  ASSERT_TRUE(loser.AddEdge(1, 2));
+  std::optional<std::string> error = dg.Apply(std::move(loser));
+  EXPECT_FALSE(winner_error.has_value()) << *winner_error;
+  ASSERT_TRUE(error.has_value());
+  EXPECT_NE(error->find("stale"), std::string::npos) << *error;
+
+  dyn::Snapshot now = dg.Acquire();
+  EXPECT_EQ(now.epoch(), 1u);
+  EXPECT_TRUE(now.graph().HasEdge(0, 2));
+  EXPECT_FALSE(now.graph().HasEdge(1, 2));
+  obs::DynCounters stats = dg.Stats();
+  EXPECT_EQ(stats.folds, 1u);
+  EXPECT_EQ(stats.epoch, 1u);
+}
+
+// One op of a writer's batch.
+struct WriterOp {
+  enum class Kind { kAddVertex, kAddEdge, kRemoveEdge } kind;
+  VertexId u = 0;  // the label, for kAddVertex
+  VertexId v = 0;
+};
+
+// Stages `ops` on `delta`; false on the first op it rejects.
+bool Record(const std::vector<WriterOp>& ops, GraphDelta& delta) {
+  for (const WriterOp& op : ops) {
+    bool ok = false;
+    switch (op.kind) {
+      case WriterOp::Kind::kAddVertex:
+        ok = delta.AddVertex(static_cast<Label>(op.u));
+        break;
+      case WriterOp::Kind::kAddEdge:
+        ok = delta.AddEdge(op.u, op.v);
+        break;
+      case WriterOp::Kind::kRemoveEdge:
+        ok = delta.RemoveEdge(op.u, op.v);
+        break;
+    }
+    if (!ok) return false;
+  }
+  return true;
+}
+
+// Four writers commit 25 batches each through Commit, the server's replay
+// loop, while a reader acquires snapshots throughout. Each writer toggles
+// edges among its own vertices, so its ops stay valid whoever commits
+// first, and now and then adds a vertex, whose id depends on the commit
+// order. The final graph must be the batches replayed serially in epoch
+// order.
+TEST(DynamicGraphTest, ConcurrentWritersReplayInEpochOrder) {
+  constexpr int kWriters = 4;
+  constexpr int kBatches = 25;
+  const Graph base = SmallBase(46, 120);
+  DynamicGraph dg(base, DynOptions{0.0, false});
+
+  std::mutex committed_mu;
+  std::vector<std::pair<dyn::Epoch, std::vector<WriterOp>>> committed;
+  std::atomic<int> failed{0};
+  std::atomic<bool> writing{true};
+  auto writer = [&](int w) {
+    Rng rng(4600 + w);
+    std::vector<VertexId> own;
+    for (VertexId v = w; v < base.NumVertices(); v += kWriters) {
+      own.push_back(v);
+    }
+    std::set<std::pair<VertexId, VertexId>> present;
+    for (VertexId u : own) {
+      for (VertexId v : base.Neighbors(u)) {
+        if (u < v && v % kWriters == static_cast<VertexId>(w)) {
+          present.emplace(u, v);
+        }
+      }
+    }
+    for (int b = 0; b < kBatches; ++b) {
+      std::vector<WriterOp> ops;
+      std::set<std::pair<VertexId, VertexId>> toggled;
+      while (toggled.size() < 3) {
+        VertexId u = own[rng.Below(own.size())];
+        VertexId v = own[rng.Below(own.size())];
+        if (u == v) continue;
+        std::pair<VertexId, VertexId> e{std::min(u, v), std::max(u, v)};
+        if (!toggled.insert(e).second) continue;
+        ops.push_back({present.count(e) != 0 ? WriterOp::Kind::kRemoveEdge
+                                             : WriterOp::Kind::kAddEdge,
+                       e.first, e.second});
+      }
+      if (b % 5 == 0) {
+        ops.push_back({WriterOp::Kind::kAddVertex, static_cast<VertexId>(w)});
+      }
+
+      dyn::ApplyResult result;
+      std::optional<std::string> error = dg.Commit(
+          [&](GraphDelta& delta) { return Record(ops, delta); }, &result);
+      if (error.has_value()) {
+        failed.fetch_add(1);
+        continue;
+      }
+      {
+        std::lock_guard<std::mutex> lock(committed_mu);
+        committed.emplace_back(result.epoch, ops);
+      }
+      for (const WriterOp& op : ops) {
+        if (op.kind == WriterOp::Kind::kAddEdge) present.emplace(op.u, op.v);
+        if (op.kind == WriterOp::Kind::kRemoveEdge) present.erase({op.u, op.v});
+      }
+    }
+  };
+  // Epochs and vertex counts only grow under a reader's eyes.
+  std::atomic<int> reader_errors{0};
+  std::thread reader([&] {
+    dyn::Epoch last_epoch = 0;
+    uint32_t last_n = 0;
+    while (writing.load()) {
+      dyn::Snapshot snap = dg.Acquire();
+      if (snap.epoch() < last_epoch || snap.graph().NumVertices() < last_n) {
+        reader_errors.fetch_add(1);
+      }
+      last_epoch = snap.epoch();
+      last_n = snap.graph().NumVertices();
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) writers.emplace_back(writer, w);
+  for (std::thread& t : writers) t.join();
+  writing.store(false);
+  reader.join();
+
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(reader_errors.load(), 0);
+  ASSERT_EQ(committed.size(), static_cast<size_t>(kWriters * kBatches));
+  std::sort(committed.begin(), committed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  Graph serial = base;
+  for (size_t i = 0; i < committed.size(); ++i) {
+    ASSERT_EQ(committed[i].first, i + 1);  // every epoch exactly once
+    GraphDelta delta(serial);
+    ASSERT_TRUE(Record(committed[i].second, delta)) << delta.error();
+    delta.Seal();
+    Graph next = FoldDelta(serial, delta);
+    serial = std::move(next);
+  }
+  ExpectGraphsEqual(dg.Acquire().graph(), serial);
+  obs::DynCounters stats = dg.Stats();
+  EXPECT_EQ(stats.epoch, stats.folds);
+  EXPECT_EQ(stats.folds, static_cast<uint64_t>(kWriters * kBatches));
+}
+
+// Commit rejects a batch whose ops do not apply, and applies none of it.
+TEST(DynamicGraphTest, CommitRejectsAnInvalidBatchWhole) {
+  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}), DynOptions{0.0, false});
+  dyn::ApplyResult result;
+  std::optional<std::string> error = dg.Commit(
+      [](GraphDelta& delta) {
+        return delta.AddEdge(1, 2) && delta.AddEdge(0, 1);  // (0,1) exists
+      },
+      &result);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->rfind("update rejected: ", 0), 0u) << *error;
+  EXPECT_EQ(result.replays, 0u);
+  EXPECT_EQ(dg.CurrentEpoch(), 0u);
+  EXPECT_FALSE(dg.Acquire().graph().HasEdge(1, 2));
 }
 
 TEST(DynamicGraphTest, CompactionInstallsWhileOldSnapshotHeld) {
