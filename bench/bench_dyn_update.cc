@@ -14,13 +14,11 @@
 //
 // Reported: committed updates/sec and batch-commit latency on the updater
 // side; qps + p50/p95 on the query side for both phases, so the cost of
-// epoch folding, background compaction and plan-cache invalidation shows
-// up as the quiet-vs-churn delta. The compaction threshold is low enough
-// that the compactor runs during the churn phase of both the default and
-// the smoke run. The final STATS line must account for every batch
-// (updates == B, epoch >= B) and for every epoch (epoch == folds +
-// compactions) or the process exits non-zero, so the smoke run doubles as
-// an end-to-end UPDATE liveness check. Results append
+// epoch folding and plan-cache invalidation shows up as the quiet-vs-churn
+// delta. The final STATS line must account for every batch (updates == B,
+// epoch >= B) and for every epoch (epoch == folds) or the process exits
+// non-zero, so the smoke run doubles as an end-to-end UPDATE liveness
+// check. Results append
 // to CFL_BENCH_JSON as {"artifact":"dyn_update", ...} lines; BENCH_10.json
 // in the repo root is a checked-in snapshot.
 //
@@ -226,11 +224,8 @@ void AppendJson(const DriverConfig& d, const QueryPhaseResult& quiet,
       << ",\"churn_p50_ms\":" << churn.queries.p50_ms
       << ",\"churn_p95_ms\":" << churn.queries.p95_ms
       << ",\"query_errors\":" << quiet.errors + churn.queries.errors
-      << ",\"update_retries\":" << stat("update_retries")
       << ",\"cache_invalidations\":" << stat("cache_invalidations")
       << ",\"folds\":" << stat("folds")
-      << ",\"compactions\":" << stat("compactions")
-      << ",\"compactions_abandoned\":" << stat("compactions_abandoned")
       << ",\"final_epoch\":" << stat("epoch") << "}\n";
 }
 
@@ -296,9 +291,6 @@ int main(int argc, char** argv) {
   options.workers = d.workers;
   options.sessions = d.clients + 3;  // clients + updater + admin
   options.max_time_limit_seconds = d.time_limit_seconds;
-  // Compact once the batches have touched 2% of the vertices: a few times
-  // per churn phase at the default and the smoke sizes.
-  options.compact_touched_fraction = 0.02;
   serve::QueryServer server(data, options);
   std::thread server_thread([&server] { server.Serve(); });
 
@@ -387,14 +379,11 @@ int main(int argc, char** argv) {
   }
   server_thread.join();
 
-  std::printf("stats: updates=%llu retries=%llu invalidations=%llu "
-              "folds=%llu compactions=%llu (abandoned %llu) epoch=%llu\n",
+  std::printf("stats: updates=%llu invalidations=%llu folds=%llu "
+              "epoch=%llu\n",
               static_cast<unsigned long long>(stats["updates"]),
-              static_cast<unsigned long long>(stats["update_retries"]),
               static_cast<unsigned long long>(stats["cache_invalidations"]),
               static_cast<unsigned long long>(stats["folds"]),
-              static_cast<unsigned long long>(stats["compactions"]),
-              static_cast<unsigned long long>(stats["compactions_abandoned"]),
               static_cast<unsigned long long>(stats["epoch"]));
   AppendJson(d, quiet, churn, stats);
 
@@ -402,7 +391,7 @@ int main(int argc, char** argv) {
                     churn.batches == d.batches &&
                     stats["updates"] == d.batches &&
                     stats["epoch"] >= d.batches &&
-                    stats["epoch"] == stats["folds"] + stats["compactions"] &&
+                    stats["epoch"] == stats["folds"] &&
                     quiet.errors == 0 &&
                     churn.queries.errors == 0 && quiet.completed > 0 &&
                     churn.queries.completed > 0;

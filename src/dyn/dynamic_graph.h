@@ -1,41 +1,31 @@
 // The mutable facade over immutable per-epoch snapshots.
 //
 // `DynamicGraph` is the one stateful object of the dynamic subsystem. It
-// owns the current `Graph` snapshot, the epoch counter and the background
-// compactor. The engine's `const Graph&` interface is untouched: a reader
-// calls `Acquire()` and gets a `Snapshot` — a shared_ptr to one immutable
-// epoch graph plus that graph's epoch — and runs the entire
-// prepare/enumerate pipeline against that frozen instance while writers
-// commit later epochs alongside. Shared ownership alone keeps a snapshot
-// alive: a superseded graph is freed when its last reader drops it, and
-// nothing waits for readers.
+// owns the current `Graph` snapshot and the epoch counter. The engine's
+// `const Graph&` interface is untouched: a reader calls `Acquire()` and
+// gets a `Snapshot` — a shared_ptr to one immutable epoch graph plus that
+// graph's epoch — and runs the entire prepare/enumerate pipeline against
+// that frozen instance while writers commit later epochs alongside. Shared
+// ownership alone keeps a snapshot alive: a superseded graph is freed when
+// its last reader drops it, and nothing waits for readers.
 //
-// Writer path (`Apply`): seal the delta, fold it into a fresh CSR
-// (dyn/fold.h) with no lock held — the base snapshot is immutable — then,
-// under the graph mutex, only check that the base is still current, run
-// the commit hook and install the fold as the next epoch. The fold's
-// DirtyLabels let the serve layer invalidate exactly the affected cached
-// plans. Readers never wait for a fold: the mutex guards a pointer swap.
-// A delta built against a snapshot that is no longer current — including
-// one whose base was superseded while it folded — is rejected as stale;
-// the caller re-acquires and rebuilds its delta. `Commit` is that replay
-// loop, bounded, and the serve layer's UPDATE path: it also serializes
-// its callers, because of two writers folding side by side only one can
-// install, and the other's fold is wasted.
-//
-// Compaction: folds are incremental and never re-sort, so after enough
-// churn the snapshot drifts from what a from-scratch build would choose
-// (hub budget settlement pessimism, tombstone accumulation in the label
-// index). When the touched-vertex accumulator crosses
-// `compact_touched_fraction * n`, the compactor (one TaskPool worker)
-// rebuilds the current snapshot from scratch off-lock and installs the
-// rebuild as the next epoch only if the epoch did not advance mid-rebuild
-// (otherwise the work is abandoned and recounted). Readers of older epochs
-// keep their own graphs; the rebuild does not wait for them.
+// Writer path: the graph has one writer at a time. `Apply` and `Commit`
+// hold the writer mutex for their whole call: seal the delta, fold it into
+// a fresh CSR (dyn/fold.h) — under the writer mutex only, so readers
+// proceed — then, under the graph mutex, run the commit hook and install
+// the fold as the next epoch. The fold equals a from-scratch GraphBuilder
+// build of the same edge set, so an epoch never needs rebuilding. The
+// fold's DirtyLabels let the serve layer invalidate exactly the affected
+// cached plans. Readers never wait for a fold: the graph mutex guards a
+// pointer swap. `Commit` acquires, records and applies under one hold of
+// the writer mutex, so nothing can land in between and it never comes back
+// stale; it is the serve layer's UPDATE path. A bare `Apply` whose delta
+// was built on a snapshot that is no longer current is rejected as stale,
+// and its caller re-acquires and rebuilds the delta.
 //
 // Lock hierarchy (DESIGN.md §9): writer_mu_ is level 21 and mu_ level 22,
-// the lowest levels in the process — below the plan cache's (30), so
-// Commit's writer -> graph -> cache (commit hook) chain ascends. Callers
+// the lowest levels in the process — below the plan cache's (30), so a
+// commit's writer -> graph -> cache (commit hook) chain ascends. Callers
 // hold no lock when they call in.
 
 #ifndef CFL_DYN_DYNAMIC_GRAPH_H_
@@ -53,7 +43,6 @@
 #include "dyn/delta.h"
 #include "graph/graph.h"
 #include "obs/dyn_counters.h"
-#include "parallel/task_pool.h"
 
 namespace cfl {
 struct DynamicGraphTestAccess;  // tests/dyn_epoch_test.cc
@@ -61,15 +50,11 @@ struct DynamicGraphTestAccess;  // tests/dyn_epoch_test.cc
 
 namespace cfl::dyn {
 
+// Has no effect. The benchmark (perfbench/layers.h) still constructs a
+// DynamicGraph with `{.background_compaction = false}`; remove the struct
+// and the constructor's parameter with the next change to the benchmark.
 struct DynOptions {
-  // Schedule a compaction once the cumulative touched-vertex count since
-  // the last rebuild exceeds this fraction of the vertex count. <= 0
-  // disables automatic compaction (CompactNow still works).
-  double compact_touched_fraction = 0.25;
-
-  // Run compactions on a background worker. When false, nothing compacts
-  // until CompactNow() is called (deterministic tests).
-  bool background_compaction = true;
+  bool background_compaction = true;  // no effect
 };
 
 using Epoch = uint64_t;
@@ -98,12 +83,11 @@ struct ApplyResult {
   uint32_t removed_vertices = 0;
   uint64_t added_edges = 0;
   uint64_t removed_edges = 0;
-  uint32_t replays = 0;      // Commit only: attempts that came back stale
 };
 
 class DynamicGraph {
  public:
-  explicit DynamicGraph(Graph base, DynOptions options = {});
+  explicit DynamicGraph(Graph base, DynOptions /*unused*/ = {});
 
   DynamicGraph(const DynamicGraph&) = delete;
   DynamicGraph& operator=(const DynamicGraph&) = delete;
@@ -118,11 +102,12 @@ class DynamicGraph {
     return GraphDelta(snapshot.graph());
   }
 
-  // Commits one batch: seals, folds (off the lock), advances the epoch.
-  // Returns an error string when the delta is stale (bound to a superseded
-  // snapshot, before or after the fold) — the caller should re-acquire and
-  // rebuild — or nullopt on success with `result` (optional) filled. An
-  // empty delta commits nothing and reports the current epoch.
+  // Commits one batch: seals, folds (off the graph mutex), advances the
+  // epoch. Serialized with every other Apply and Commit. Returns an error
+  // string when the delta is stale (bound to a superseded snapshot) — the
+  // caller should re-acquire and rebuild — or nullopt on success with
+  // `result` (optional) filled. An empty delta commits nothing and reports
+  // the current epoch.
   //
   // `on_commit`, when given, runs *inside* the commit's critical section,
   // just before the new epoch is installed, so no Acquire can observe the
@@ -137,21 +122,15 @@ class DynamicGraph {
   std::optional<std::string> Apply(
       GraphDelta&& delta, ApplyResult* result = nullptr,
       const std::function<void(const DirtyLabels&, Epoch)>& on_commit =
-          nullptr) CFL_EXCLUDES(mu_);
+          nullptr) CFL_EXCLUDES(writer_mu_, mu_);
 
-  // Attempts Commit makes before it reports a lost race.
-  static constexpr int kCommitAttempts = 8;
-
-  // Commits the batch `record` stages, replaying it while it comes back
-  // stale: each attempt acquires the current snapshot, lets `record` stage
-  // the batch's ops on a delta against it, and Applies the delta (with
-  // `on_commit`, as above). Commits run one at a time, so they never make
-  // each other stale; only a compaction or a direct Apply landing
-  // mid-commit costs a replay. Returns nullopt on success, with `result`
-  // filled as by Apply, or the reason for failure: `record` returned false
-  // ("update rejected: " and the delta's error; nothing is applied), or
-  // kCommitAttempts attempts came back stale. `result->replays` counts the
-  // stale attempts either way.
+  // Commits the batch `record` stages: under one hold of the writer mutex
+  // it acquires the current snapshot, lets `record` stage the batch's ops
+  // on a delta against it, and applies the delta (with `on_commit`, as
+  // above). No other writer can land in between, so the delta is never
+  // stale. Returns nullopt on success, with `result` filled as by Apply,
+  // or "update rejected: " and the delta's error when `record` returned
+  // false (nothing is applied).
   std::optional<std::string> Commit(
       const std::function<bool(GraphDelta&)>& record, ApplyResult* result,
       const std::function<void(const DirtyLabels&, Epoch)>& on_commit =
@@ -162,13 +141,14 @@ class DynamicGraph {
   // Counter snapshot (gauges sampled now).
   obs::DynCounters Stats() CFL_EXCLUDES(mu_);
 
-  // Synchronous compaction: rebuilds the current snapshot and installs the
-  // rebuild as the next epoch. Returns false if the epoch advanced
-  // mid-rebuild. Test hook and the background task's body.
-  bool CompactNow() CFL_EXCLUDES(mu_);
-
  private:
   friend struct cfl::DynamicGraphTestAccess;
+
+  // Apply's body, for a caller that already holds the writer mutex.
+  std::optional<std::string> ApplyLocked(
+      GraphDelta&& delta, ApplyResult* result,
+      const std::function<void(const DirtyLabels&, Epoch)>& on_commit)
+      CFL_REQUIRES(writer_mu_) CFL_EXCLUDES(mu_);
 
   // Makes `next` the current snapshot of a new epoch.
   void InstallLocked(std::shared_ptr<const Graph> next) CFL_REQUIRES(mu_);
@@ -176,17 +156,13 @@ class DynamicGraph {
   // Forgets superseded snapshots no reader holds any more.
   void PruneSupersededLocked() CFL_REQUIRES(mu_);
 
-  // From-scratch rebuild of `g` through GraphBuilder (fresh hub
-  // settlement, canonical vector sizes). Static: runs off-lock.
-  static Graph Rebuild(const Graph& g);
-
-  const DynOptions options_;
-
   // Test seam (DynamicGraphTestAccess): when set, Apply calls it on the
-  // writer's thread between the fold and the install, with no lock held.
+  // writer's thread between the fold and the install, with only the writer
+  // mutex held.
   std::function<void()> after_fold_for_test_;
 
-  // Serializes Commit calls; held across a whole commit, fold included.
+  // Serializes writers: held across a whole Apply or Commit, fold
+  // included.
   Mutex writer_mu_ CFL_LOCK_LEVEL(21);
   Mutex mu_ CFL_LOCK_LEVEL(22);
   std::shared_ptr<const Graph> current_ CFL_GUARDED_BY(mu_);
@@ -195,16 +171,6 @@ class DynamicGraph {
   std::vector<std::weak_ptr<const Graph>> superseded_ CFL_GUARDED_BY(mu_);
   // counters_.epoch is the epoch counter: the current snapshot's epoch.
   obs::DynCounters counters_ CFL_GUARDED_BY(mu_);
-  // Touched vertices folded since the last from-scratch rebuild; the
-  // compaction trigger.
-  uint64_t touched_since_rebuild_ CFL_GUARDED_BY(mu_) = 0;
-  bool compaction_scheduled_ CFL_GUARDED_BY(mu_) = false;
-
-  // Single-worker pool for background compaction; null when
-  // options_.background_compaction is false. Declared last so its
-  // destructor (which joins the worker) runs first, while the members a
-  // running compaction touches are still alive.
-  std::unique_ptr<TaskPool> compactor_;
 };
 
 }  // namespace cfl::dyn

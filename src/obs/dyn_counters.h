@@ -5,8 +5,7 @@
 // without depending on the subsystem that fills it. Plain fields, no
 // atomics — DynamicGraph mutates them under its own mutex and hands out
 // copies, so readers never see torn values. `epoch` is DynamicGraph's epoch
-// counter itself, so a copy's epoch always agrees with its folds and
-// compactions.
+// counter itself, so a copy's epoch always agrees with its folds.
 
 #ifndef CFL_OBS_DYN_COUNTERS_H_
 #define CFL_OBS_DYN_COUNTERS_H_
@@ -17,10 +16,12 @@ namespace cfl::obs {
 
 struct DynCounters {
   // Lifetime totals.
-  uint64_t epoch = 0;            // the current epoch: folds + compactions
+  uint64_t epoch = 0;            // the current epoch: equals folds
   uint64_t folds = 0;            // deltas folded into a fresh snapshot
-  uint64_t compactions = 0;      // from-scratch rebuilds installed
-  uint64_t compactions_abandoned = 0;  // rebuilt, but the epoch moved on
+  // Always 0: nothing rebuilds an epoch. Kept because the benchmark
+  // (perfbench/layers.h) still reads it; remove with the next change to
+  // the benchmark.
+  uint64_t compactions = 0;
   uint64_t epochs_retired = 0;   // superseded snapshots freed by their
                                  // last reader
 

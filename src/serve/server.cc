@@ -87,8 +87,7 @@ class LineReader {
 
 QueryServer::QueryServer(const Graph& data, const ServeOptions& options)
     : options_(options),
-      dyn_(data, dyn::DynOptions{options.compact_touched_fraction,
-                                 options.background_compaction}),
+      dyn_(data),
       cache_(options.cache_bytes),
       scheduler_(SchedulerOptions{options.workers, options.max_quota,
                                   options.max_concurrent_queries,
@@ -400,12 +399,11 @@ bool QueryServer::HandleUpdate(int fd, LineReader& reader) {
     ops.push_back(*op);
   }
 
-  // Commit with bounded replay (DynamicGraph::Commit): a compaction can
-  // install between the commit's Acquire and its Apply, and the batch is
-  // then rebuilt on the fresh snapshot. The on_commit hook invalidates
-  // affected plans, and records the commit's epoch against their labels,
-  // before the new epoch is visible to any Acquire (see PlanCache::Insert
-  // for the racing-insert half).
+  // Commit (DynamicGraph::Commit) stages the batch on the current snapshot
+  // and applies it with no other writer in between. The on_commit hook
+  // invalidates affected plans, and records the commit's epoch against
+  // their labels, before the new epoch is visible to any Acquire (see
+  // PlanCache::Insert for the racing-insert half).
   dyn::ApplyResult result;
   uint64_t invalidated = 0;
   std::optional<std::string> error = dyn_.Commit(
@@ -435,10 +433,6 @@ bool QueryServer::HandleUpdate(int fd, LineReader& reader) {
       [&](const dyn::DirtyLabels& dirty, dyn::Epoch epoch) {
         invalidated = cache_.InvalidateLabels(dirty, epoch);
       });
-  if (result.replays > 0) {
-    MutexLock lock(counter_mu_);
-    counters_.update_retries += result.replays;
-  }
   if (error.has_value()) {
     CountError();
     return WriteAll(fd, "ERR " + *error + "\n");
@@ -472,7 +466,6 @@ bool QueryServer::HandleStats(int fd) {
   line += " queries=" + std::to_string(counters.queries);
   line += " stream_queries=" + std::to_string(counters.stream_queries);
   line += " updates=" + std::to_string(counters.updates);
-  line += " update_retries=" + std::to_string(counters.update_retries);
   line += " errors=" + std::to_string(counters.errors);
   line += " connections=" + std::to_string(counters.connections);
   line += " cache_hits=" + std::to_string(cache.hits);
@@ -484,9 +477,6 @@ bool QueryServer::HandleStats(int fd) {
   line += " cache_entries=" + std::to_string(cache.entries);
   line += " epoch=" + std::to_string(dyn.epoch);
   line += " folds=" + std::to_string(dyn.folds);
-  line += " compactions=" + std::to_string(dyn.compactions);
-  line += " compactions_abandoned=" +
-          std::to_string(dyn.compactions_abandoned);
   line += " epochs_retired=" + std::to_string(dyn.epochs_retired);
   line += " live_epochs=" + std::to_string(dyn.live_epochs);
   line += " active=" + std::to_string(scheduler_.ActiveQueries());

@@ -78,20 +78,12 @@ struct ServeOptions {
   uint32_t max_concurrent_queries = 0;
   double max_time_limit_seconds = 30.0;
   uint64_t max_embeddings = 0;
-
-  // Dynamic-graph knobs (see dyn::DynOptions).
-  double compact_touched_fraction = 0.25;
-  bool background_compaction = true;
 };
 
 struct ServerCounters {
   uint64_t queries = 0;        // QUERY requests completed
   uint64_t stream_queries = 0;
   uint64_t updates = 0;        // UPDATE batches committed
-  // UPDATE commit attempts that came back stale and were replayed against
-  // the fresh snapshot (DynamicGraph::Commit serializes UPDATEs, so only a
-  // compaction installing mid-commit causes one).
-  uint64_t update_retries = 0;
   uint64_t errors = 0;         // ERR responses sent
   uint64_t connections = 0;
 };

@@ -1,7 +1,7 @@
 // Fixture: the epoch-versioning surface mirrored from src/dyn — a pending
 // delta guarded at level 22, a drain tracker nested at level 24, a publish
 // atomic for the current snapshot and a counter for folds. Exercises the
-// dyn module's edges in the layering DAG (graph, parallel) and the 22 -> 24
+// dyn module's one edge in the layering DAG (graph) and the 22 -> 24
 // nested acquisition the lock-order pass must accept.
 #ifndef FIX_DYN_EPOCH_H_
 #define FIX_DYN_EPOCH_H_
@@ -11,7 +11,6 @@
 
 #include "check/check.h"
 #include "graph/graph.h"
-#include "parallel/pool.h"
 
 namespace fix {
 

@@ -264,8 +264,9 @@ const Mutation kMutations[] = {
      "config_.store(config, std::memory_order_relaxed);",
      "[atomic-intent]"},
     // dyn: one seed per concurrency rule plus the module's DAG edge
-    {"src/dyn/epoch.h", "#include \"parallel/pool.h\"",
-     "#include \"match/match.h\"", "[layering]"},
+    {"src/dyn/epoch.h", "#include \"graph/graph.h\"",
+     "#include \"graph/graph.h\"\n#include \"parallel/pool.h\"",
+     "[layering]"},
     {"src/dyn/epoch.h", "Mutex drain_mu_ CFL_LOCK_LEVEL(24);",
      "Mutex drain_mu_ CFL_LOCK_LEVEL(21);", "[lock-order]"},
     {"src/dyn/epoch.cc",

@@ -1,16 +1,14 @@
 // Tests for the dynamic-graph epoch layer: the GraphDelta overlay's merged
 // adjacency against a std::set model, FoldDelta content equality with a
 // from-scratch rebuild (random batches, the block copy's boundary batches,
-// and byte-exact sizing over a chain of folds), snapshot isolation across
-// commits, snapshot lifetime (a held snapshot outlives later commits, a
-// compaction and the DynamicGraph itself), the live-epoch gauges, readers
-// and writers racing a fold that runs off the graph lock, and compaction
-// installing under a concurrent reader of an old epoch (the tsan lane's
+// and byte-exact sizing over chains of folds, one of them through hub
+// rows), snapshot isolation across commits, snapshot lifetime (a held
+// snapshot outlives later commits and the DynamicGraph itself), the
+// live-epoch gauges, a reader racing a fold that runs off the graph lock,
+// and concurrent writers serialized by the writer lock (the tsan lane's
 // main prey).
 
 #include "dyn/dynamic_graph.h"
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -53,13 +51,23 @@ struct DynamicGraphTestAccess {
     probe.join();
     return free;
   }
+  // True iff some thread holds the writer mutex now. Probed like
+  // MutexFree, so the caller may be the holder.
+  static bool WriterMutexHeld(dyn::DynamicGraph& dg) {
+    bool free = false;
+    std::thread probe([&] {
+      free = dg.writer_mu_.TryLock();
+      if (free) dg.writer_mu_.Unlock();
+    });
+    probe.join();
+    return !free;
+  }
 };
 
 namespace {
 
 using dyn::DirtyLabels;
 using dyn::DynamicGraph;
-using dyn::DynOptions;
 using dyn::FoldDelta;
 using dyn::GraphDelta;
 
@@ -250,7 +258,8 @@ TEST(GraphDeltaTest, RejectsInvalidOps) {
 // ---- fold vs from-scratch rebuild ---------------------------------------
 
 // Full content comparison through the public Graph API: adjacency, label
-// index, NLF, mnd, degrees, and the hub index.
+// index, label-degree lists, NLF, mnd, degrees, and the hub index word by
+// word.
 void ExpectGraphsEqual(const Graph& folded, const Graph& rebuilt) {
   ASSERT_EQ(folded.NumVertices(), rebuilt.NumVertices());
   ASSERT_EQ(folded.NumEdges(), rebuilt.NumEdges());
@@ -262,6 +271,13 @@ void ExpectGraphsEqual(const Graph& folded, const Graph& rebuilt) {
     ASSERT_EQ(folded.degree(v), rebuilt.degree(v)) << v;
     ASSERT_EQ(folded.MaxNeighborDegree(v), rebuilt.MaxNeighborDegree(v)) << v;
     ASSERT_EQ(folded.IsHub(v), rebuilt.IsHub(v)) << v;
+    if (folded.IsHub(v)) {
+      const uint64_t* fw = folded.HubRowWords(v);
+      const uint64_t* rw = rebuilt.HubRowWords(v);
+      for (uint32_t i = 0; i < (folded.NumVertices() + 63) / 64; ++i) {
+        ASSERT_EQ(fw[i], rw[i]) << "hub " << v << " word " << i;
+      }
+    }
     std::span<const VertexId> fn = folded.Neighbors(v);
     std::span<const VertexId> rn = rebuilt.Neighbors(v);
     ASSERT_TRUE(std::equal(fn.begin(), fn.end(), rn.begin(), rn.end())) << v;
@@ -278,6 +294,9 @@ void ExpectGraphsEqual(const Graph& folded, const Graph& rebuilt) {
     std::span<const VertexId> rv = rebuilt.VerticesWithLabel(l);
     ASSERT_TRUE(std::equal(fv.begin(), fv.end(), rv.begin(), rv.end())) << l;
     ASSERT_EQ(folded.LabelFrequency(l), rebuilt.LabelFrequency(l)) << l;
+    std::span<const uint32_t> fd = folded.LabelDegrees(l);
+    std::span<const uint32_t> rd = rebuilt.LabelDegrees(l);
+    ASSERT_TRUE(std::equal(fd.begin(), fd.end(), rd.begin(), rd.end())) << l;
   }
 }
 
@@ -486,29 +505,116 @@ TEST(FoldDeltaTest, TombstoneAtVertexZero) {
       touched);
 }
 
-// The fold reserves every array to its final size, so a chain of folds
-// allocates exactly what a from-scratch build of the same graph does.
-TEST(FoldDeltaTest, FoldChainAllocatesLikeAFreshBuild) {
-  Graph g = SmallBase(304, 200);
+using Batch = std::function<void(GraphDelta*, Model*)>;
+
+// Folds each batch of `chain` over the previous fold, starting from `g`.
+// After every fold the graph must validate and equal a from-scratch build
+// of the same edge set, in content and in allocated bytes. When `hubs` is
+// given, hubs[step] lists the hubs the fold must have after that step.
+void ExpectFoldChainMatchesRebuilds(
+    Graph g, const std::vector<Batch>& chain,
+    const std::vector<std::vector<VertexId>>& hubs = {}) {
   Model model(g);
-  Rng rng(305);
-  for (int step = 0; step < 20; ++step) {
+  for (size_t step = 0; step < chain.size(); ++step) {
     GraphDelta delta(g);
-    Mutate(rng, 25, &delta, &model);
+    chain[step](&delta, &model);
     delta.Seal();
     Graph folded = FoldDelta(g, delta);
     g = std::move(folded);
+    ValidationResult valid = ValidateGraph(g);
+    ASSERT_TRUE(valid.ok) << valid.error << " (step " << step << ")";
+    Graph rebuilt = model.Rebuild();
+    ExpectGraphsEqual(g, rebuilt);
+    ASSERT_EQ(g.MemoryBytes(), rebuilt.MemoryBytes()) << "step " << step;
+    if (hubs.empty()) continue;
+    std::vector<VertexId> got;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      if (g.IsHub(v)) got.push_back(v);
+    }
+    ASSERT_EQ(got, hubs[step]) << "step " << step;
   }
-  Graph rebuilt = model.Rebuild();
-  ExpectGraphsEqual(g, rebuilt);
-  EXPECT_EQ(g.MemoryBytes(), rebuilt.MemoryBytes());
+}
+
+// Connects `v` to vertices it lacks, lowest id first, until its degree is
+// `degree`.
+void RaiseDegree(GraphDelta* delta, Model* model, VertexId v,
+                 size_t degree) {
+  for (VertexId w = 0; model->adj[v].size() < degree; ++w) {
+    ASSERT_LT(w, model->labels.size());
+    if (w != v && model->alive[w] && !model->HasEdge(v, w)) {
+      AddEdge(delta, model, v, w);
+    }
+  }
+}
+
+// Drops `v`'s edges, highest neighbour first, until its degree is `degree`.
+void LowerDegree(GraphDelta* delta, Model* model, VertexId v,
+                 size_t degree) {
+  while (model->adj[v].size() > degree) {
+    RemoveEdge(delta, model, v, *model->adj[v].rbegin());
+  }
+}
+
+void AddVertices(GraphDelta* delta, Model* model, uint32_t count) {
+  for (uint32_t i = 0; i < count; ++i) {
+    const Label l = static_cast<Label>(i % 4);
+    VertexId id = kInvalidVertex;
+    ASSERT_TRUE(delta->AddVertex(l, &id)) << delta->error();
+    ASSERT_EQ(id, model->AddVertex(l));
+  }
+}
+
+// The fold reserves every array to its final size, so a chain of folds
+// allocates exactly what a from-scratch build of the same graph does.
+TEST(FoldDeltaTest, FoldChainAllocatesLikeAFreshBuild) {
+  // Random churn: 20 batches of about 25 ops.
+  Rng rng(305);
+  std::vector<Batch> churn(20, [&rng](GraphDelta* delta, Model* model) {
+    Mutate(rng, 25, delta, model);
+  });
+  ExpectFoldChainMatchesRebuilds(SmallBase(304, 200), churn);
+
+  // Through the hub rows (the default threshold is degree 64): each batch
+  // changes which vertices are hubs or how wide their rows are.
+  constexpr uint32_t kHub = GraphBuilder::kDefaultHubDegreeThreshold;
+  const Graph base = SmallBase(306, 100);
+  ASSERT_FALSE(base.HasHubIndex());
+  ExpectFoldChainMatchesRebuilds(
+      base,
+      {
+          // Vertex 5 becomes a hub; its row is 2 words (n = 100).
+          [](GraphDelta* d, Model* m) { RaiseDegree(d, m, 5, kHub + 2); },
+          // n grows past 128, so rows widen to 3 words; hub 5's row is
+          // patched by a removed edge and an edge to a new vertex, and
+          // vertex 10 becomes a second hub.
+          [](GraphDelta* d, Model* m) {
+            AddVertices(d, m, 30);
+            LowerDegree(d, m, 5, kHub + 1);
+            AddEdge(d, m, 5, 129);
+            RaiseDegree(d, m, 10, kHub + 10);
+          },
+          // Hub 5 falls below the threshold.
+          [](GraphDelta* d, Model* m) { LowerDegree(d, m, 5, kHub - 4); },
+          // Hub 10 is tombstoned: no hub is left.
+          [](GraphDelta* d, Model* m) {
+            ASSERT_TRUE(d->RemoveVertex(10));
+            m->RemoveVertex(10);
+          },
+          // 70 vertices are appended (n = 200, 4 words a row) and vertex 5
+          // is a hub again, through edges to new and old vertices.
+          [](GraphDelta* d, Model* m) {
+            AddVertices(d, m, 70);
+            for (VertexId w = 190; w < 200; ++w) AddEdge(d, m, 5, w);
+            RaiseDegree(d, m, 5, kHub + 8);
+          },
+      },
+      {{5}, {5, 10}, {10}, {}, {5}});
 }
 
 // ---- snapshots and epochs -----------------------------------------------
 
 TEST(DynamicGraphTest, SnapshotIsolationAcrossCommits) {
-  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}),
-                  DynOptions{0.0, false});
+  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}));
   dyn::Snapshot before = dg.Acquire();
   EXPECT_EQ(before.epoch(), 0u);
   EXPECT_FALSE(before.graph().HasEdge(1, 2));
@@ -528,8 +634,7 @@ TEST(DynamicGraphTest, SnapshotIsolationAcrossCommits) {
 }
 
 TEST(DynamicGraphTest, StaleDeltaIsRejectedWholesale) {
-  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}),
-                  DynOptions{0.0, false});
+  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}));
   dyn::Snapshot snap = dg.Acquire();
   GraphDelta first = dg.NewDelta(snap);
   GraphDelta second = dg.NewDelta(snap);
@@ -547,7 +652,7 @@ TEST(DynamicGraphTest, StaleDeltaIsRejectedWholesale) {
 }
 
 TEST(DynamicGraphTest, EmptyDeltaCommitsNothing) {
-  DynamicGraph dg(MakeGraph({0, 1}, {{0, 1}}), DynOptions{0.0, false});
+  DynamicGraph dg(MakeGraph({0, 1}, {{0, 1}}));
   dyn::Snapshot snap = dg.Acquire();
   dyn::ApplyResult result;
   ASSERT_FALSE(dg.Apply(dg.NewDelta(snap), &result).has_value());
@@ -555,14 +660,17 @@ TEST(DynamicGraphTest, EmptyDeltaCommitsNothing) {
   EXPECT_EQ(dg.CurrentEpoch(), 0u);
 }
 
-// The fold runs off the graph mutex: a reader that arrives while a commit
-// has folded but not yet installed gets the old epoch at once.
+// The fold runs off the graph mutex, under the writer mutex only: a reader
+// that arrives while a commit has folded but not yet installed gets the old
+// epoch at once.
 TEST(DynamicGraphTest, AcquireDoesNotWaitForAFold) {
-  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}), DynOptions{0.0, false});
+  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}));
+  bool writer_held = false;
   bool mutex_free = false;
   dyn::Epoch seen = 99;
   bool saw_edge = true;
   DynamicGraphTestAccess::SetAfterFoldHook(dg, [&] {
+    writer_held = DynamicGraphTestAccess::WriterMutexHeld(dg);
     std::thread reader([&] {
       mutex_free = DynamicGraphTestAccess::MutexFree(dg);
       if (!mutex_free) return;  // Acquire would wait for the install
@@ -577,46 +685,13 @@ TEST(DynamicGraphTest, AcquireDoesNotWaitForAFold) {
   GraphDelta delta = dg.NewDelta(s0);
   ASSERT_TRUE(delta.AddEdge(1, 2));
   ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
+  EXPECT_TRUE(writer_held);
   EXPECT_TRUE(mutex_free);
   EXPECT_EQ(seen, 0u);
   EXPECT_FALSE(saw_edge);
   dyn::Snapshot s1 = dg.Acquire();
   EXPECT_EQ(s1.epoch(), 1u);
   EXPECT_TRUE(s1.graph().HasEdge(1, 2));
-}
-
-// A commit that lands while another writer folds makes that writer's fold
-// stale: it installs nothing, and the winner's epoch stands.
-TEST(DynamicGraphTest, CommitDuringAFoldMakesItStale) {
-  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}), DynOptions{0.0, false});
-  bool raced = false;
-  std::optional<std::string> winner_error = "not run";
-  DynamicGraphTestAccess::SetAfterFoldHook(dg, [&] {
-    if (raced) return;  // the winner's own commit
-    raced = true;
-    // A commit from here would deadlock if the loser held the mutex.
-    ASSERT_TRUE(DynamicGraphTestAccess::MutexFree(dg));
-    dyn::Snapshot snap = dg.Acquire();
-    GraphDelta winner = dg.NewDelta(snap);
-    ASSERT_TRUE(winner.AddEdge(0, 2));
-    winner_error = dg.Apply(std::move(winner));
-  });
-
-  dyn::Snapshot s0 = dg.Acquire();
-  GraphDelta loser = dg.NewDelta(s0);
-  ASSERT_TRUE(loser.AddEdge(1, 2));
-  std::optional<std::string> error = dg.Apply(std::move(loser));
-  EXPECT_FALSE(winner_error.has_value()) << *winner_error;
-  ASSERT_TRUE(error.has_value());
-  EXPECT_NE(error->find("stale"), std::string::npos) << *error;
-
-  dyn::Snapshot now = dg.Acquire();
-  EXPECT_EQ(now.epoch(), 1u);
-  EXPECT_TRUE(now.graph().HasEdge(0, 2));
-  EXPECT_FALSE(now.graph().HasEdge(1, 2));
-  obs::DynCounters stats = dg.Stats();
-  EXPECT_EQ(stats.folds, 1u);
-  EXPECT_EQ(stats.epoch, 1u);
 }
 
 // One op of a writer's batch.
@@ -646,17 +721,19 @@ bool Record(const std::vector<WriterOp>& ops, GraphDelta& delta) {
   return true;
 }
 
-// Four writers commit 25 batches each through Commit, the server's replay
-// loop, while a reader acquires snapshots throughout. Each writer toggles
-// edges among its own vertices, so its ops stay valid whoever commits
-// first, and now and then adds a vertex, whose id depends on the commit
-// order. The final graph must be the batches replayed serially in epoch
-// order.
-TEST(DynamicGraphTest, ConcurrentWritersReplayInEpochOrder) {
+// Four writers commit 25 batches each while a reader acquires snapshots
+// throughout. Writers 0 and 1 use Commit, the server's UPDATE path; writers
+// 2 and 3 use a bare Acquire/NewDelta/Apply and rebuild the delta when it
+// comes back stale. Each writer toggles edges among its own vertices, so
+// its ops stay valid whoever commits first, and now and then adds a
+// vertex, whose id depends on the commit order. Every Commit must succeed
+// at once, and the final graph must be the batches replayed serially in
+// epoch order.
+TEST(DynamicGraphTest, ConcurrentWritersCommitInEpochOrder) {
   constexpr int kWriters = 4;
   constexpr int kBatches = 25;
   const Graph base = SmallBase(46, 120);
-  DynamicGraph dg(base, DynOptions{0.0, false});
+  DynamicGraph dg(base);
 
   std::mutex committed_mu;
   std::vector<std::pair<dyn::Epoch, std::vector<WriterOp>>> committed;
@@ -694,8 +771,22 @@ TEST(DynamicGraphTest, ConcurrentWritersReplayInEpochOrder) {
       }
 
       dyn::ApplyResult result;
-      std::optional<std::string> error = dg.Commit(
-          [&](GraphDelta& delta) { return Record(ops, delta); }, &result);
+      std::optional<std::string> error;
+      if (w < kWriters / 2) {
+        error = dg.Commit(
+            [&](GraphDelta& delta) { return Record(ops, delta); }, &result);
+      } else {
+        do {
+          dyn::Snapshot snap = dg.Acquire();
+          GraphDelta delta = dg.NewDelta(snap);
+          if (!Record(ops, delta)) {
+            error = delta.error();
+            break;
+          }
+          error = dg.Apply(std::move(delta), &result);
+        } while (error.has_value() &&
+                 error->find("stale") != std::string::npos);
+      }
       if (error.has_value()) {
         failed.fetch_add(1);
         continue;
@@ -752,7 +843,7 @@ TEST(DynamicGraphTest, ConcurrentWritersReplayInEpochOrder) {
 
 // Commit rejects a batch whose ops do not apply, and applies none of it.
 TEST(DynamicGraphTest, CommitRejectsAnInvalidBatchWhole) {
-  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}), DynOptions{0.0, false});
+  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}));
   dyn::ApplyResult result;
   std::optional<std::string> error = dg.Commit(
       [](GraphDelta& delta) {
@@ -761,40 +852,12 @@ TEST(DynamicGraphTest, CommitRejectsAnInvalidBatchWhole) {
       &result);
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->rfind("update rejected: ", 0), 0u) << *error;
-  EXPECT_EQ(result.replays, 0u);
   EXPECT_EQ(dg.CurrentEpoch(), 0u);
   EXPECT_FALSE(dg.Acquire().graph().HasEdge(1, 2));
 }
 
-TEST(DynamicGraphTest, CompactionInstallsWhileOldSnapshotHeld) {
-  // Manual compaction so the test controls exactly when the rebuild runs.
-  DynamicGraph dg(SmallBase(42), DynOptions{0.0, false});
-
-  dyn::Snapshot s0 = dg.Acquire();
-  const Graph g0 = s0.graph();  // copy: the expected content of epoch 0
-  GraphDelta delta = dg.NewDelta(s0);
-  ASSERT_TRUE(delta.AddVertex(2));
-  ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
-
-  // The compaction installs while s0 still holds epoch 0, and while this
-  // thread reads that graph (tsan on this lane watches the pair).
-  bool compacted = false;
-  std::thread compactor([&] { compacted = dg.CompactNow(); });
-  ExpectGraphsEqual(s0.graph(), g0);
-  compactor.join();
-  EXPECT_TRUE(compacted);
-
-  obs::DynCounters stats = dg.Stats();
-  EXPECT_EQ(stats.compactions, 1u);
-  EXPECT_EQ(stats.epoch, 2u);
-  EXPECT_EQ(stats.live_epochs, 2u);  // the current graph and s0's
-  EXPECT_EQ(dg.Acquire().epoch(), 2u);
-  EXPECT_EQ(s0.epoch(), 0u);
-  ExpectGraphsEqual(s0.graph(), g0);
-}
-
 TEST(DynamicGraphTest, LiveEpochsCountHeldSnapshots) {
-  DynamicGraph dg(MakeGraph({0, 1, 0, 1}, {{0, 1}}), DynOptions{0.0, false});
+  DynamicGraph dg(MakeGraph({0, 1, 0, 1}, {{0, 1}}));
   dyn::Snapshot s0 = dg.Acquire();
   GraphDelta first = dg.NewDelta(s0);
   ASSERT_TRUE(first.AddEdge(1, 2));
@@ -822,7 +885,7 @@ TEST(DynamicGraphTest, SnapshotOutlivesDynamicGraph) {
   dyn::Snapshot before;
   dyn::Snapshot after;
   {
-    DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}), DynOptions{0.0, true});
+    DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}));
     before = dg.Acquire();
     GraphDelta delta = dg.NewDelta(before);
     ASSERT_TRUE(delta.AddEdge(1, 2));
@@ -836,25 +899,6 @@ TEST(DynamicGraphTest, SnapshotOutlivesDynamicGraph) {
   EXPECT_EQ(after.epoch(), 1u);
   EXPECT_TRUE(after.graph().HasEdge(1, 2));
   EXPECT_TRUE(after.graph().HasEdge(0, 1));
-}
-
-TEST(DynamicGraphTest, BackgroundCompactionTriggersOnChurn) {
-  // Tiny threshold: the very first batch crosses it.
-  DynamicGraph dg(SmallBase(43), DynOptions{0.001, true});
-  dyn::Snapshot snap = dg.Acquire();
-  GraphDelta delta = dg.NewDelta(snap);
-  ASSERT_TRUE(delta.AddVertex(1));
-  ASSERT_TRUE(delta.AddVertex(3));
-  ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
-
-  // The compactor runs asynchronously; poll until it lands.
-  for (int i = 0; i < 500; ++i) {
-    obs::DynCounters stats = dg.Stats();
-    if (stats.compactions + stats.compactions_abandoned > 0) break;
-    usleep(10'000);
-  }
-  obs::DynCounters stats = dg.Stats();
-  EXPECT_GE(stats.compactions + stats.compactions_abandoned, 1u);
 }
 
 }  // namespace

@@ -9,9 +9,8 @@
 // spirit of cfl_difftest.
 //
 // The main sweep commits 200 seeded batches (50 trials x 4 batches); a
-// second suite re-runs a smaller sweep under aggressive background
-// compaction while an old epoch's snapshot is held, locking in
-// engine-level snapshot isolation.
+// second suite re-runs a smaller sweep through Commit while the first
+// epoch's snapshot is held, locking in engine-level snapshot isolation.
 
 #include <algorithm>
 #include <functional>
@@ -43,7 +42,6 @@ namespace cfl {
 namespace {
 
 using dyn::DynamicGraph;
-using dyn::DynOptions;
 using dyn::FoldDelta;
 using dyn::GraphDelta;
 
@@ -313,8 +311,7 @@ TEST(DynOracleTest, TwoHundredSeededBatchesAcrossEngines) {
     const uint64_t seed = 5000 + trial;
     Graph base = OracleBase(seed);
     Model model(base);
-    // Compaction off: this sweep isolates the incremental fold path.
-    DynamicGraph dg(base, DynOptions{0.0, false});
+    DynamicGraph dg(base);
     Rng rng(seed * 31 + 7);
 
     for (uint32_t batch = 0; batch < kBatches; ++batch) {
@@ -344,19 +341,17 @@ TEST(DynOracleTest, TwoHundredSeededBatchesAcrossEngines) {
   }
 }
 
-// ---- the same oracle under aggressive compaction ------------------------
+// ---- the same oracle while the first epoch is pinned ---------------------
 
-TEST(DynOracleTest, OracleHoldsUnderAggressiveCompactionAndPinnedEpochs) {
+TEST(DynOracleTest, OracleHoldsWhileFirstEpochIsPinned) {
   constexpr uint64_t kTrials = 8;
   constexpr uint32_t kBatches = 3;
   for (uint64_t trial = 0; trial < kTrials; ++trial) {
     const uint64_t seed = 9000 + trial;
     Graph base = OracleBase(seed);
     Model model(base);
-    // Any churn triggers the background compactor, which rebuilds and
-    // installs while `pinned` still holds epoch 0 (tsan on this lane
-    // watches the compactor against the readers).
-    DynamicGraph dg(base, DynOptions{0.001, true});
+    // Later epochs install while `pinned` still holds epoch 0.
+    DynamicGraph dg(base);
     Rng rng(seed * 17 + 3);
 
     std::vector<Graph> queries = GenerateQuerySet(base, 2, 5, true, seed);
@@ -369,19 +364,15 @@ TEST(DynOracleTest, OracleHoldsUnderAggressiveCompactionAndPinnedEpochs) {
     for (uint32_t batch = 0; batch < kBatches; ++batch) {
       std::vector<Op> ops =
           GenerateBatch(rng, &model, 8, dg.Acquire().graph().NumVertices());
-      // A compaction installing between Acquire and Apply makes the delta
-      // stale; like the server, rebuild it on the new epoch and retry (a
-      // compaction keeps the logical graph, so the ops stay valid).
-      std::optional<std::string> error;
-      for (int attempt = 0; attempt < 8; ++attempt) {
-        dyn::Snapshot snap = dg.Acquire();
-        GraphDelta delta = dg.NewDelta(snap);
-        for (const Op& op : ops) {
-          ASSERT_TRUE(ApplyToDelta(op, &delta)) << delta.error();
-        }
-        error = dg.Apply(std::move(delta));
-        if (!error.has_value()) break;
-      }
+      // The server's UPDATE path.
+      std::optional<std::string> error = dg.Commit(
+          [&](GraphDelta& delta) {
+            for (const Op& op : ops) {
+              if (!ApplyToDelta(op, &delta)) return false;
+            }
+            return true;
+          },
+          nullptr);
       ASSERT_FALSE(error.has_value()) << *error;
 
       dyn::Snapshot now = dg.Acquire();
@@ -398,17 +389,6 @@ TEST(DynOracleTest, OracleHoldsUnderAggressiveCompactionAndPinnedEpochs) {
       EXPECT_EQ(CountOn(Engines()[0], pinned.graph(), queries[i]),
                 pinned_counts[i])
           << "snapshot isolation broken (seed " << seed << ")";
-    }
-
-    // Force a synchronous compaction and re-verify against the rebuild —
-    // the compacted epoch must be answer-identical too.
-    dg.CompactNow();
-    dyn::Snapshot compacted = dg.Acquire();
-    Graph rebuilt = model.Rebuild();
-    for (const Graph& q : queries) {
-      EXPECT_EQ(CountOn(Engines()[0], compacted.graph(), q),
-                CountOn(Engines()[0], rebuilt, q))
-          << "post-compaction divergence (seed " << seed << ")";
     }
   }
 }

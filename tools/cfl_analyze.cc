@@ -180,8 +180,8 @@ const std::map<std::string, std::set<std::string>>& AllowedDeps() {
       {"harness",
        {"graph", "kernels", "decomp", "cpi", "order", "validate", "match"}},
       // Dynamic graphs sit beside the engines: deltas and folds need only
-      // the CSR builder, and the background compactor rides the task pool.
-      {"dyn", {"graph", "parallel"}},
+      // the CSR builder.
+      {"dyn", {"graph"}},
       // The serving stack sits at the top: it drives the match engines via
       // both the serial iterator and the parallel sharding primitives, and
       // owns the epoch-versioned data graph.
