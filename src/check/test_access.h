@@ -44,6 +44,7 @@ struct GraphTestAccess {
     return g.label_degrees_;
   }
   static std::vector<Graph::LabelCount>& Nlf(Graph& g) { return g.nlf_; }
+  static std::vector<uint64_t>& Nlm(Graph& g) { return g.nlm_; }
   static std::vector<uint32_t>& Mnd(Graph& g) { return g.mnd_; }
   static uint64_t& NumEdges(Graph& g) { return g.num_edges_; }
 };

@@ -212,7 +212,8 @@ ValidationResult ValidateGraph(const Graph& g) {
                 " vertices");
   }
 
-  // NLF runs: sorted by label, positive effective counts, exact.
+  // NLF runs: sorted by label, positive effective counts, exact; and the
+  // neighbor-label mask, exactly the runs' label bits.
   for (VertexId v = 0; v < n; ++v) {
     std::span<const Graph::LabelCount> runs = g.NeighborLabelCounts(v);
     std::map<Label, uint32_t> expected;
@@ -232,6 +233,12 @@ ValidationResult ValidateGraph(const Graph& g) {
                     "); adjacency implies (label ", it->first, ", count ",
                     it->second, ")");
       }
+    }
+    uint64_t mask = 0;
+    for (const auto& entry : expected) mask |= Graph::LabelBit(entry.first);
+    if (g.NeighborLabelMask(v) != mask) {
+      return Fail("graph: NeighborLabelMask(", v, ") = ",
+                  g.NeighborLabelMask(v), " but its NLF runs imply ", mask);
     }
   }
 

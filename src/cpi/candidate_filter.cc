@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <span>
 
-#include "kernels/kernels.h"
-
 namespace cfl {
 
 bool CandVerify(const Graph& q, VertexId u, const Graph& data, VertexId v) {
   // Constant-time MND filter first (Algorithm 6 line 1).
   if (data.MaxNeighborDegree(v) < q.MaxNeighborDegree(u)) return false;
   // NLF filter (lines 2-4): every neighbor-label requirement of u must be
-  // met by v. Query NLF runs are few, data lookups are O(log).
+  // met by v. One word test rejects v if it lacks any label u needs, and
+  // decides every count-1 need on a label below 63 exactly; only the other
+  // needs take an O(log) count lookup.
+  const uint64_t need_mask = q.NeighborLabelMask(u);
+  if ((data.NeighborLabelMask(v) & need_mask) != need_mask) return false;
   for (const Graph::LabelCount& need : q.NeighborLabelCounts(u)) {
+    if (need.count == 1 && need.label < Graph::kMaskOverflowLabel) continue;
     if (data.NeighborLabelCount(v, need.label) < need.count) return false;
   }
   return true;
@@ -20,17 +23,9 @@ bool CandVerify(const Graph& q, VertexId u, const Graph& data, VertexId v) {
 
 uint64_t CountVerifiedCandidates(const Graph& q, VertexId u,
                                  const Graph& data) {
-  const std::span<const VertexId> vs = data.VerticesWithLabel(q.label(u));
   const uint32_t min_degree = q.StructuralDegree(u);
-  const bool prefetch = kernels::PrefetchEnabled();
   uint64_t count = 0;
-  for (size_t i = 0; i < vs.size(); ++i) {
-    if (prefetch && i + 1 < vs.size()) {
-      const std::span<const Graph::LabelCount> next =
-          data.NeighborLabelCounts(vs[i + 1]);
-      kernels::PrefetchSpan(next.data(), next.size_bytes());
-    }
-    const VertexId v = vs[i];
+  for (VertexId v : data.VerticesWithLabel(q.label(u))) {
     if (data.degree(v) >= min_degree && CandVerify(q, u, data, v)) ++count;
   }
   return count;

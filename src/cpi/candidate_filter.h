@@ -7,7 +7,13 @@
 //   3. maximum-neighbor-degree (MND) filter (Lemma A.1, O(1)):
 //      mnd_G(v) >= mnd_q(u)
 //   4. NLF (neighbor label frequency) filter: for every label l among u's
-//      neighbors, d_G(v, l) >= d_q(u, l)
+//      neighbors, d_G(v, l) >= d_q(u, l). Checked in two stages:
+//      a. neighbor-label word test (O(1)): every bit of u's
+//         Graph::NeighborLabelMask must be set in v's. This rejects a v
+//         missing any needed label below 63 and settles every need with
+//         d_q(u, l) == 1 on such a label exactly;
+//      b. NLF counts (O(log L) each): only the needs the word cannot
+//         decide, d_q(u, l) > 1 or l >= 63, look up d_G(v, l).
 //
 // `CandVerify` is filters 3+4 (Algorithm 6); callers apply 1+2 while
 // scanning. `LabelDegreeIndex` answers "how many data vertices have label l
@@ -29,9 +35,7 @@ namespace cfl {
 bool CandVerify(const Graph& q, VertexId u, const Graph& data, VertexId v);
 
 // Number of data vertices passing all four filters for u — the accurate
-// score root selection (A.6) uses for its shortlist. Streams the label's
-// vertex list with one-ahead NLF-run prefetch (kernels/kernels.h): each
-// vertex's verification hides the next one's index loads.
+// score root selection (A.6) uses for its shortlist.
 uint64_t CountVerifiedCandidates(const Graph& q, VertexId u,
                                  const Graph& data);
 

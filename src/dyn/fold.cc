@@ -52,6 +52,15 @@ class GraphFolder {
     }
     CopyUntouched(&g, next, old_n);
 
+    // Neighbor-label masks. Labels never change, so only a vertex's own
+    // adjacency can move its mask: copy the base words, recompute the
+    // touched ones (which include every added vertex) from their new runs.
+    g.nlm_.resize(n);
+    if (old_n > 0) {
+      std::memcpy(g.nlm_.data(), base_.nlm_.data(), old_n * sizeof(uint64_t));
+    }
+    for (VertexId t : touched) g.nlm_[t] = g.NlfLabelMask(t);
+
     // Plain graphs only (no loops, no multiplicities — delta.cc rejects
     // both), so the edge count is pure arithmetic and effective quantities
     // equal structural ones.

@@ -96,6 +96,7 @@ uint64_t Graph::MemoryBytes() const {
   bytes += hub_bits_.capacity() * sizeof(uint64_t);
   bytes += nlf_offsets_.capacity() * sizeof(uint64_t);
   bytes += nlf_.capacity() * sizeof(LabelCount);
+  bytes += nlm_.capacity() * sizeof(uint64_t);
   bytes += mnd_.capacity() * sizeof(uint32_t);
   return bytes;
 }

@@ -14,8 +14,11 @@
 //   * O(1) label lookup and candidate seeding via a label index,
 //   * O(log) "how many l-labeled vertices have degree >= d" counts for root
 //     selection (paper A.6) via per-label degree lists,
-//   * O(log L) neighbor-label-frequency (NLF) lookups for CandVerify
-//     (paper Algorithm 6),
+//   * a one-word neighbor-label mask per vertex (bit min(l, 63) for each
+//     neighbor label l), so CandVerify (paper Algorithm 6) settles a missing
+//     label, and every count-1 need on a label below 63, with one AND,
+//   * O(log L) neighbor-label-frequency (NLF) lookups for the needs the
+//     mask cannot decide,
 //   * O(1) max-neighbor-degree lookups (paper Lemma A.1).
 //
 // Hub probes: vertices whose structural degree reaches the builder's hub
@@ -191,6 +194,20 @@ class Graph {
   // used by the NLF filter (Algorithm 6 lines 2-4).
   uint32_t NeighborLabelCount(VertexId v, Label l) const;
 
+  // Labels at or above this share the mask's top bit; a label below it owns
+  // its own bit.
+  static constexpr Label kMaskOverflowLabel = 63;
+
+  // The bit label l sets in a neighbor-label mask: bit min(l, 63).
+  static constexpr uint64_t LabelBit(Label l) {
+    return uint64_t{1} << std::min(l, kMaskOverflowLabel);
+  }
+
+  // OR of LabelBit(l) over the labels of v's NLF runs (labels with an
+  // expanded neighbor count >= 1). A clear bit below 63 proves
+  // NeighborLabelCount(v, l) == 0; a set one proves it is >= 1.
+  uint64_t NeighborLabelMask(VertexId v) const { return nlm_[v]; }
+
   // Number of distinct labels among v's neighbors; |L_N(v)|.
   uint32_t NeighborLabelKinds(VertexId v) const {
     return static_cast<uint32_t>(nlf_offsets_[v + 1] - nlf_offsets_[v]);
@@ -260,6 +277,16 @@ class Graph {
 
   static constexpr uint32_t kNoHub = static_cast<uint32_t>(-1);
 
+  // OR of LabelBit over v's NLF runs, which must be final: how the builder
+  // and the fold fill nlm_[v].
+  uint64_t NlfLabelMask(VertexId v) const {
+    uint64_t mask = 0;
+    for (const LabelCount& run : NeighborLabelCounts(v)) {
+      mask |= LabelBit(run.label);
+    }
+    return mask;
+  }
+
   // Fills the label index (label_offsets_, label_vertices_,
   // label_frequency_, label_degrees_) from labels_, num_labels_,
   // multiplicity_ and effective_degree_, which must be final. Linear: no
@@ -303,6 +330,7 @@ class Graph {
   // NLF index: per-vertex (label, count) runs.
   std::vector<uint64_t> nlf_offsets_;  // size n+1
   std::vector<LabelCount> nlf_;
+  std::vector<uint64_t> nlm_;  // size n, neighbor-label masks
 
   std::vector<uint32_t> mnd_;  // size n
 };

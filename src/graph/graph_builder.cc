@@ -136,7 +136,8 @@ Graph GraphBuilder::Build() && {
 
   g.BuildLabelIndex();
 
-  // NLF runs: per vertex, (label, effective count) sorted by label.
+  // NLF runs: per vertex, (label, effective count) sorted by label; then
+  // each vertex's neighbor-label mask over its runs.
   g.nlf_offsets_.assign(n + 1, 0);
   std::vector<Graph::LabelCount> scratch;
   std::vector<std::vector<Graph::LabelCount>> runs(n);
@@ -165,6 +166,8 @@ Graph GraphBuilder::Build() && {
   for (uint32_t v = 0; v < n; ++v) {
     g.nlf_.insert(g.nlf_.end(), runs[v].begin(), runs[v].end());
   }
+  g.nlm_.resize(n);
+  for (uint32_t v = 0; v < n; ++v) g.nlm_[v] = g.NlfLabelMask(v);
 
   // Max neighbor degree over effective degrees.
   g.mnd_.assign(n, 0);

@@ -8,9 +8,10 @@
 //
 // The builder deduplicates edges, (label, id)-sorts adjacency lists, and
 // constructs the label-run / label / label-degree / NLF /
-// max-neighbor-degree / hub-probe indexes that `Graph` exposes. Self-loops
-// are rejected unless `AllowSelfLoops` was called (they are only meaningful
-// for compressed graphs whose clique classes loop to themselves).
+// neighbor-label-mask / max-neighbor-degree / hub-probe indexes that
+// `Graph` exposes. Self-loops are rejected unless `AllowSelfLoops` was
+// called (they are only meaningful for compressed graphs whose clique
+// classes loop to themselves).
 
 #ifndef CFL_GRAPH_GRAPH_BUILDER_H_
 #define CFL_GRAPH_GRAPH_BUILDER_H_

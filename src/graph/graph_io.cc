@@ -2,10 +2,11 @@
 
 #include <fstream>
 #include <istream>
-#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph_builder.h"
@@ -38,14 +39,24 @@ constexpr uint64_t kMaxU32 = static_cast<uint32_t>(-1);
 }  // namespace
 
 Graph ReadGraph(std::istream& in) {
-  std::optional<GraphBuilder> builder;
-  std::vector<uint32_t> multiplicity;
-  bool any_multiplicity = false;
+  // The header's counts are claims about the lines that follow, so nothing
+  // is sized by them: the records are buffered as they arrive, and the
+  // graph is built only once the counts agree with what was listed. A
+  // one-line body declaring 4e9 vertices allocates nothing.
+  struct VertexRecord {
+    uint64_t line_no;
+    VertexId id;
+    Label label;
+    uint32_t multiplicity;
+  };
+  std::vector<VertexRecord> vertices;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  bool have_header = false;
+  uint32_t declared_vertices = 0;
+  uint64_t declared_edges = 0;
 
   std::string line;
   uint64_t line_no = 0;
-  uint64_t declared_edges = 0;
-  uint64_t seen_edges = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
@@ -53,47 +64,72 @@ Graph ReadGraph(std::istream& in) {
     char tag = 0;
     ls >> tag;
     if (tag == 't') {
+      if (have_header) Fail(line_no, "second 't' header");
       uint64_t n = 0, m = 0;
       if (!(ls >> n >> m)) Fail(line_no, "bad 't' header");
-      builder.emplace(InRange(n, kMaxU32, line_no, "vertex count"));
-      builder->AllowSelfLoops();
-      multiplicity.assign(builder->num_vertices(), 1);
+      declared_vertices = InRange(n, kMaxU32, line_no, "vertex count");
       declared_edges = m;
+      have_header = true;
     } else if (tag == 'v') {
-      if (!builder) Fail(line_no, "'v' before 't' header");
+      if (!have_header) Fail(line_no, "'v' before 't' header");
       uint64_t id = 0, label = 0;
       if (!(ls >> id >> label)) Fail(line_no, "bad 'v' line");
-      if (id >= builder->num_vertices()) Fail(line_no, "vertex id out of range");
-      builder->SetLabel(static_cast<VertexId>(id),
-                        InRange(label, kMaxLabel, line_no, "label"));
+      if (id >= declared_vertices) Fail(line_no, "vertex id out of range");
+      VertexRecord record{line_no, static_cast<VertexId>(id),
+                          InRange(label, kMaxLabel, line_no, "label"), 1};
       uint64_t mult = 0;
       if (ls >> mult) {
         if (mult == 0) Fail(line_no, "multiplicity must be >= 1");
-        multiplicity[id] = InRange(mult, kMaxU32, line_no, "multiplicity");
-        if (mult != 1) any_multiplicity = true;
+        record.multiplicity = InRange(mult, kMaxU32, line_no, "multiplicity");
       }
+      vertices.push_back(record);
     } else if (tag == 'e') {
-      if (!builder) Fail(line_no, "'e' before 't' header");
+      if (!have_header) Fail(line_no, "'e' before 't' header");
       uint64_t u = 0, v = 0;
       if (!(ls >> u >> v)) Fail(line_no, "bad 'e' line");
-      if (u >= builder->num_vertices() || v >= builder->num_vertices()) {
+      if (u >= declared_vertices || v >= declared_vertices) {
         Fail(line_no, "edge endpoint out of range");
       }
-      builder->AddEdge(static_cast<VertexId>(u), static_cast<VertexId>(v));
-      ++seen_edges;
+      edges.emplace_back(static_cast<VertexId>(u), static_cast<VertexId>(v));
     } else {
       Fail(line_no, std::string("unknown record tag '") + tag + "'");
     }
   }
-  if (!builder) throw std::runtime_error("graph parse error: empty input");
-  if (declared_edges != seen_edges) {
+  if (!have_header) throw std::runtime_error("graph parse error: empty input");
+  if (vertices.size() != declared_vertices) {
     std::ostringstream os;
-    os << "graph parse error: header declares " << declared_edges
-       << " edges but " << seen_edges << " were listed";
+    os << "graph parse error: header declares " << declared_vertices
+       << " vertices but " << vertices.size() << " were listed";
     throw std::runtime_error(os.str());
   }
-  if (any_multiplicity) builder->SetMultiplicities(std::move(multiplicity));
-  return std::move(*builder).Build();
+  if (edges.size() != declared_edges) {
+    std::ostringstream os;
+    os << "graph parse error: header declares " << declared_edges
+       << " edges but " << edges.size() << " were listed";
+    throw std::runtime_error(os.str());
+  }
+
+  // As many 'v' lines as vertices, so each id must appear exactly once;
+  // multiplicity 0 marks an id not declared yet.
+  GraphBuilder builder(declared_vertices);
+  builder.AllowSelfLoops();
+  std::vector<uint32_t> multiplicity(declared_vertices, 0);
+  bool any_multiplicity = false;
+  for (const VertexRecord& record : vertices) {
+    if (multiplicity[record.id] != 0) {
+      Fail(record.line_no,
+           "vertex " + std::to_string(record.id) + " declared twice");
+    }
+    multiplicity[record.id] = record.multiplicity;
+    if (record.multiplicity != 1) any_multiplicity = true;
+    builder.SetLabel(record.id, record.label);
+  }
+  for (const auto& [u, v] : edges) builder.AddEdge(u, v);
+  // The builder holds both directions of every edge now; free the buffer
+  // so a large file's edges are not held three times during Build.
+  std::vector<std::pair<VertexId, VertexId>>().swap(edges);
+  if (any_multiplicity) builder.SetMultiplicities(std::move(multiplicity));
+  return std::move(builder).Build();
 }
 
 Graph LoadGraph(const std::string& path) {

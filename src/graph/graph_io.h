@@ -6,8 +6,9 @@
 //   v <id> <label> [multiplicity]
 //   e <u> <v>
 //
-// Vertices must be declared before edges that use them; ids are dense in
-// [0, n). Lines starting with '#' and blank lines are ignored.
+// Ids are dense in [0, n): each is declared by exactly one 'v' line, and
+// the header's counts must equal the 'v' and 'e' lines listed. Lines
+// starting with '#' and blank lines are ignored.
 
 #ifndef CFL_GRAPH_GRAPH_IO_H_
 #define CFL_GRAPH_GRAPH_IO_H_

@@ -134,6 +134,18 @@ TEST(ValidateGraphTest, CatchesNlfDrift) {
   ExpectFailureContaining(ValidateGraph(g), "NLF");
 }
 
+// The neighbor-label mask must be exactly its NLF runs' label bits: a bit
+// set for an absent label would let CandVerify pass a vertex Algorithm 6
+// rejects, and a cleared one would reject a true candidate.
+TEST(ValidateGraphTest, CatchesFlippedNeighborLabelBit) {
+  for (int bit : {0, 1, 2, 63}) {
+    Graph g = Figure3Data();
+    ASSERT_TRUE(ValidateGraph(g).ok);
+    GraphTestAccess::Nlm(g)[3] ^= uint64_t{1} << bit;
+    ExpectFailureContaining(ValidateGraph(g), "NeighborLabelMask(3)");
+  }
+}
+
 TEST(ValidateGraphTest, CatchesWrongEffectiveDegree) {
   Graph g = Figure3Data();
   ++GraphTestAccess::EffectiveDegree(g)[3];

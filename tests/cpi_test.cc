@@ -5,6 +5,7 @@
 #include "cpi/cpi_builder.h"
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <set>
 #include <span>
@@ -13,10 +14,14 @@
 #include <gtest/gtest.h>
 
 #include "check/test_access.h"
+#include "check/validate.h"
 #include "cpi/candidate_filter.h"
 #include "cpi/root_select.h"
 #include "decomp/bfs_tree.h"
+#include "dyn/delta.h"
+#include "dyn/fold.h"
 #include "gen/query_gen.h"
+#include "gen/rng.h"
 #include "gen/synthetic.h"
 #include "graph/graph_builder.h"
 #include "test_util.h"
@@ -83,6 +88,168 @@ TEST(LabelDegreeIndexTest, Counts) {
   EXPECT_EQ(index.CountAtLeast(testing::kA, 1), 2u);
   EXPECT_EQ(index.CountAtLeast(testing::kA, 4), 1u);
   EXPECT_EQ(index.CountAtLeast(99, 0), 0u);
+}
+
+// ---- CandVerify's word filter against Algorithm 6 ---------------------
+
+// Expanded neighbor-label counts of v, taken from the adjacency: a neighbor
+// w contributes multiplicity(w), a self-loop the other multiplicity(v) - 1
+// members of v's class.
+std::map<Label, uint64_t> ExpandedNeighborLabels(const Graph& g, VertexId v) {
+  std::map<Label, uint64_t> counts;
+  for (VertexId w : g.Neighbors(v)) {
+    const uint64_t c = (w == v) ? g.multiplicity(v) - 1 : g.multiplicity(w);
+    if (c > 0) counts[g.label(w)] += c;
+  }
+  return counts;
+}
+
+// Labels on both sides of the mask's overflow bit: a wide spread up to
+// 200, a cluster around 63, and a few small labels that repeat within a
+// neighborhood (needs with count > 1).
+Label DrawLabel(Rng& rng) {
+  switch (rng.Below(4)) {
+    case 0: return static_cast<Label>(rng.Below(201));
+    case 1: return static_cast<Label>(rng.Between(59, 67));
+    default: return static_cast<Label>(rng.Below(4));
+  }
+}
+
+// A random data graph. `compressed` adds multiplicities and self-loops,
+// some at singleton vertices, whose NLF count is 0.
+Graph RandomLabeledGraph(Rng& rng, bool compressed) {
+  const uint32_t n = static_cast<uint32_t>(rng.Between(200, 400));
+  GraphBuilder b(n);
+  for (VertexId v = 0; v < n; ++v) b.SetLabel(v, DrawLabel(rng));
+  for (VertexId v = 0; v < n; ++v) {
+    for (uint64_t e = rng.Below(8); e > 0; --e) {
+      const VertexId w = static_cast<VertexId>(rng.Below(n));
+      if (w != v) b.AddEdge(v, w);
+    }
+  }
+  if (compressed) {
+    b.AllowSelfLoops();
+    std::vector<uint32_t> multiplicity(n, 1);
+    for (VertexId v = 0; v < n; ++v) {
+      if (rng.Chance(0.3)) multiplicity[v] = rng.Between(2, 4);
+      if (rng.Chance(0.15)) b.AddEdge(v, v);
+    }
+    b.SetMultiplicities(std::move(multiplicity));
+  }
+  return std::move(b).Build();
+}
+
+// A plain query grown from a random connected patch of `g` (so some data
+// vertices pass), with one vertex sometimes relabeled (so some fail on a
+// label they lack).
+Graph PatchQuery(Rng& rng, const Graph& g) {
+  std::vector<VertexId> patch = {
+      static_cast<VertexId>(rng.Below(g.NumVertices()))};
+  const uint64_t want = rng.Between(2, 12);
+  for (int tries = 0; patch.size() < want && tries < 100; ++tries) {
+    std::span<const VertexId> nb =
+        g.Neighbors(patch[rng.Below(patch.size())]);
+    if (nb.empty()) continue;
+    const VertexId w = nb[rng.Below(nb.size())];
+    if (std::find(patch.begin(), patch.end(), w) == patch.end()) {
+      patch.push_back(w);
+    }
+  }
+  std::vector<Label> labels;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (size_t i = 0; i < patch.size(); ++i) {
+    labels.push_back(g.label(patch[i]));
+    for (size_t j = i + 1; j < patch.size(); ++j) {
+      if (g.HasEdge(patch[i], patch[j])) {
+        edges.emplace_back(static_cast<VertexId>(i), static_cast<VertexId>(j));
+      }
+    }
+  }
+  if (rng.Chance(0.3)) labels[rng.Below(labels.size())] = DrawLabel(rng);
+  return MakeGraph(labels, edges);
+}
+
+// Random ops on `base` (which must be plain), folded into a new epoch.
+Graph RandomFold(Rng& rng, const Graph& base) {
+  dyn::GraphDelta delta(base);
+  for (int op = 0; op < 80; ++op) {
+    const uint32_t n = delta.NewVertices();
+    const VertexId u = static_cast<VertexId>(rng.Below(n));
+    switch (rng.Below(6)) {
+      case 0:
+        delta.AddVertex(DrawLabel(rng));
+        break;
+      case 1:
+        delta.RemoveVertex(u);
+        break;
+      case 2:
+        if (u < base.NumVertices() && base.StructuralDegree(u) > 0) {
+          std::span<const VertexId> nb = base.Neighbors(u);
+          delta.RemoveEdge(u, nb[rng.Below(nb.size())]);
+        }
+        break;
+      default:
+        delta.AddEdge(u, static_cast<VertexId>(rng.Below(n)));
+        break;
+    }
+  }
+  delta.Seal();
+  return dyn::FoldDelta(base, delta);
+}
+
+// CandVerify settles count-1 needs on labels below 63 with one word test
+// and looks up only the rest; it must agree with Algorithm 6 (MND, then
+// every NLF count) on every (u, v) pair, whatever the labels and counts.
+TEST(CandVerifyTest, WordFilterMatchesAlgorithm6) {
+  Rng rng(2016);
+  uint64_t passed = 0, failed = 0, overflow_needs = 0, multi_needs = 0;
+  uint64_t passed_by_lookup = 0;  // passes with a need the word leaves open
+  auto check = [&](const Graph& g, const char* kind, int trial) {
+    std::vector<std::map<Label, uint64_t>> have(g.NumVertices());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      have[v] = ExpandedNeighborLabels(g, v);
+    }
+    for (int qi = 0; qi < 16; ++qi) {
+      const Graph q = PatchQuery(rng, g);
+      for (VertexId u = 0; u < q.NumVertices(); ++u) {
+        const std::map<Label, uint64_t> needs = ExpandedNeighborLabels(q, u);
+        bool open_need = false;
+        for (const auto& [label, count] : needs) {
+          if (label >= Graph::kMaskOverflowLabel) ++overflow_needs;
+          if (count > 1) ++multi_needs;
+          open_need |= label >= Graph::kMaskOverflowLabel || count > 1;
+        }
+        for (VertexId v = 0; v < g.NumVertices(); ++v) {
+          bool expected = g.MaxNeighborDegree(v) >= q.MaxNeighborDegree(u);
+          for (const auto& [label, count] : needs) {
+            auto it = have[v].find(label);
+            if (it == have[v].end() || it->second < count) expected = false;
+          }
+          ASSERT_EQ(CandVerify(q, u, g, v), expected)
+              << kind << " trial " << trial << " query " << qi << " u " << u
+              << " v " << v;
+          ++(expected ? passed : failed);
+          if (expected && open_need) ++passed_by_lookup;
+        }
+      }
+    }
+  };
+  for (int trial = 0; trial < 6; ++trial) {
+    check(RandomLabeledGraph(rng, /*compressed=*/false), "plain", trial);
+    check(RandomLabeledGraph(rng, /*compressed=*/true), "compressed", trial);
+    const Graph folded = RandomFold(rng, RandomLabeledGraph(rng, false));
+    ASSERT_TRUE(ValidateGraph(folded).ok) << ValidateGraph(folded).error;
+    check(folded, "folded", trial);
+    const Graph refolded = RandomFold(rng, folded);
+    ASSERT_TRUE(ValidateGraph(refolded).ok) << ValidateGraph(refolded).error;
+    check(refolded, "refolded", trial);
+  }
+  // Both outcomes, and both kinds of need the word cannot settle, occur.
+  EXPECT_GT(passed, 1000u);
+  EXPECT_GT(failed, 1000u);
+  EXPECT_GT(overflow_needs, 100u);
+  EXPECT_GT(multi_needs, 100u);
+  EXPECT_GT(passed_by_lookup, 100u);
 }
 
 TEST(RootSelectTest, PicksU0ForFigure7) {

@@ -270,6 +270,7 @@ void ExpectGraphsEqual(const Graph& folded, const Graph& rebuilt) {
     ASSERT_EQ(folded.label(v), rebuilt.label(v)) << v;
     ASSERT_EQ(folded.degree(v), rebuilt.degree(v)) << v;
     ASSERT_EQ(folded.MaxNeighborDegree(v), rebuilt.MaxNeighborDegree(v)) << v;
+    ASSERT_EQ(folded.NeighborLabelMask(v), rebuilt.NeighborLabelMask(v)) << v;
     ASSERT_EQ(folded.IsHub(v), rebuilt.IsHub(v)) << v;
     if (folded.IsHub(v)) {
       const uint64_t* fw = folded.HubRowWords(v);

@@ -433,6 +433,31 @@ TEST(GraphIoTest, MalformedInputs) {
     std::stringstream ss("");
     EXPECT_THROW(ReadGraph(ss), std::runtime_error);
   }
+  // The header's vertex count must equal the 'v' lines listed, each id
+  // once. `t 4000000000 0` used to size a 16 GB multiplicity vector (and
+  // the builder's labels) before reading a second line.
+  for (const char* text :
+       {"t 4000000000 0\n", "t 3 1\nv 0 0\nv 1 0\ne 0 1\n",
+        "t 2 1\nv 0 0\nv 1 0\nv 1 0\ne 0 1\n", "t 2 1\nv 0 0\nv 0 1\ne 0 1\n",
+        "t 2 0\nv 0 0\nt 1 0\nv 0 0\n"}) {
+    std::stringstream ss(text);
+    EXPECT_THROW(ReadGraph(ss), std::runtime_error) << text;
+  }
+  try {
+    std::stringstream ss("t 4000000000 0\n");
+    ReadGraph(ss);
+    ADD_FAILURE() << "accepted an undeclared vertex";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("4000000000 vertices but 0"),
+              std::string::npos)
+        << e.what();
+  }
+  // Records may come in any order once the header is read.
+  std::stringstream shuffled("t 3 2\ne 2 0\nv 2 7\ne 0 1\nv 0 5\nv 1 5 3\n");
+  Graph h = ReadGraph(shuffled);
+  EXPECT_EQ(h.label(2), 7u);
+  EXPECT_EQ(h.multiplicity(1), 3u);
+  EXPECT_TRUE(h.HasEdge(0, 2));
   // Label UINT32_MAX, written out or as -1 (which reads as 2^64-1 and
   // narrows to it): both used to crash the reader's caller.
   for (const char* text : {"t 2 1\nv 0 4294967295\nv 1 0\ne 0 1\n",

@@ -828,6 +828,28 @@ TEST(QueryServerTest, ZeroVertexQueryGetsErrAndServerStaysUp) {
   EXPECT_EQ(line, "PONG");
 }
 
+// Regression: a one-line QUERY body `t 4000000000 0` made the graph reader
+// size a 16 GB vector from the header alone. The header's vertex count is
+// now checked against the 'v' lines before anything is sized by it.
+TEST(QueryServerTest, HugeVertexCountHeaderGetsErrAndServerStaysUp) {
+  Graph data = Figure3Data();
+  serve::ServeOptions options;
+  options.socket_path = TestSocketPath("hugehdr");
+  options.workers = 2;
+  ServerFixture fixture(data, options);
+  RawConn conn(fixture.socket_path());
+  ASSERT_TRUE(conn.ok());
+
+  std::string line;
+  ASSERT_TRUE(conn.Send("QUERY mode=count\nt 4000000000 0\nEND\n"));
+  ASSERT_TRUE(conn.ReadLine(&line));
+  EXPECT_EQ(line.rfind("ERR bad query graph: ", 0), 0u) << line;
+  EXPECT_NE(line.find("4000000000 vertices"), std::string::npos) << line;
+  ASSERT_TRUE(conn.Send("PING\n"));
+  ASSERT_TRUE(conn.ReadLine(&line));
+  EXPECT_EQ(line, "PONG");
+}
+
 // A disconnected query is rejected by Prepare (BuildBfsTree): a client
 // error, not an internal one.
 TEST(QueryServerTest, DisconnectedQueryGetsBadQueryGraphErr) {
